@@ -7,8 +7,8 @@
 //! a short warm-up. Run with `cargo bench -p vs-bench`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use vs_circuit::{AcAnalysis, Integration, Transient};
@@ -25,11 +25,22 @@ use vs_telemetry::{Stage, Telemetry};
 /// `vs-circuit` `zero_alloc` tests, applied one layer up at the rig).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// other threads' allocations (the test harness runs tests in
+    /// parallel) out of a measuring window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` skips the count
+/// instead of panicking during thread-local teardown.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,13 +49,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the current thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 /// Times `f` and prints a criterion-style `name ... ns/iter` line.
 fn bench(name: &str, mut f: impl FnMut()) {
@@ -175,11 +191,11 @@ fn bench_scalar_alloc_guard() {
     for _ in 0..64 {
         rig.step(&p, &z, &z).expect("warm-up step");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..1_000 {
         rig.step(black_box(&p), &z, &z).expect("guarded step");
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     println!("scalar_rig_step alloc guard: {delta} allocations over 1000 cycles (limit 0)");
     assert_eq!(
         delta, 0,

@@ -29,7 +29,7 @@
 //! "bench_hotpath").
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 use vs_bench::BenchEnv;
@@ -39,11 +39,22 @@ use vs_pds::{AreaModel, CrIvrConfig, PdnParams, StackedPdn};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// other threads' allocations (the test harness runs tests in
+    /// parallel) out of a measuring window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` skips the count
+/// instead of panicking during thread-local teardown.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -52,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,8 +71,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the current thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Where the JSON record should go, if anywhere: `--json <path>`; `-` means

@@ -1,9 +1,10 @@
 //! The design-space-exploration driver: thousands of configurations
-//! through the sharded queue, with a Pareto-frontier artifact.
+//! with each distinct circuit simulation run once, and a Pareto-frontier
+//! artifact.
 //!
 //! ```text
-//! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N] [--batch-lanes N]
-//!     [--out DIR] [--resume DIR] [--profile env|golden|tiny] [--seed N]
+//! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N] [--out DIR]
+//!     [--resume DIR] [--profile env|golden|tiny] [--seed N]
 //!     [--deterministic] [--trace] [--progress plain|json|off]
 //!     [--diff GOLDEN] [--tolerances FILE]
 //! ```
@@ -11,8 +12,9 @@
 //! Enumerates an axis space (`--grid full` is the built-in 1728-point
 //! exploration; `--space "stack=4x4|8x2,area=0.1|0.2,latency=60"` builds a
 //! custom one in the shared sweep grammar, unmentioned axes staying at the
-//! paper point), evaluates every unique configuration through the
-//! two-level point queue, writes `dse_frontier.jsonl` into `--out`
+//! paper point), evaluates every unique configuration, running each
+//! distinct circuit simulation once for all the points that share it,
+//! writes `dse_frontier.jsonl` into `--out`
 //! (default `target/dse`), prints the frontier, and checks the executable
 //! frontier claims — notably that the paper's 4×4 / 0.2× cross-layer
 //! design point is non-dominated.
@@ -38,7 +40,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vs_bench::cli::{ArgSpec, CommandSpec};
-use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
+use vs_bench::dse::{
+    check_frontier_claims, pending_points, plan, run_dse, DseOptions, DseResult, FRONTIER_FILE,
+};
 use vs_bench::space::AxisSpace;
 use vs_bench::{journal, RunSettings};
 use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
@@ -46,7 +50,7 @@ use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
 const SPEC: CommandSpec = CommandSpec {
     prog: "dse",
     about: "Design-space exploration: evaluate a config grid and emit the Pareto frontier",
-    common: &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"],
+    common: &["--jobs", "--out", "--resume", "--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--grid", value: Some("tiny|full|paper"), help: "built-in axis grid (default tiny; full = 1728 points)" },
         ArgSpec { name: "--space", value: Some("SPEC"), help: "custom axis space, e.g. stack=4x4|8x2,area=0.1|0.2" },
@@ -115,15 +119,17 @@ fn main() -> ExitCode {
         preloaded = state.verified;
     }
 
-    let result = run_dse(&DseOptions {
+    let opts = DseOptions {
         jobs: parsed.common.jobs,
-        batch_lanes: parsed.common.batch_lanes,
         settings,
         space,
         // Golden (deterministic) trees carry no journal.
         journal_dir: (!deterministic).then(|| out.clone()),
         preloaded,
-    });
+    };
+    let tasks = plan(&pending_points(&opts), &settings);
+    let worst_case_runs: usize = tasks.iter().map(|t| t.worst_cases.len()).sum();
+    let result = run_dse(&opts);
     let path = result
         .write_to(&out, deterministic)
         .unwrap_or_else(|e| fail(&format!("cannot write dse to {}: {e}", out.display())));
@@ -139,8 +145,11 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "[dse] {} unique of {} enumerated point(s) ({} computed, {} replayed) \
-         in {:.1}s on {} worker(s) -> {}",
+        "[dse] {} points, {} PDE runs, {} worst-case runs; {} unique of {} enumerated \
+         point(s) ({} computed, {} replayed) in {:.1}s on {} worker(s) -> {}",
+        result.evaluated,
+        tasks.len(),
+        worst_case_runs,
         result.rows.len(),
         result.enumerated,
         result.evaluated,

@@ -1,9 +1,10 @@
 //! The design-space-exploration driver: evaluates an [`AxisSpace`]'s cross
-//! product — thousands of [`ConfigPoint`]s — through a sharded two-level
-//! work queue and distills the results into a Pareto-frontier artifact.
+//! product — thousands of [`ConfigPoint`]s — running each distinct circuit
+//! simulation once, and distills the results into a Pareto-frontier
+//! artifact.
 //!
-//! Each point costs two short circuit-level runs on a recycled
-//! [`SolverWorkspace`]:
+//! Each point is defined by two short circuit-level runs on a recycled
+//! [`SolverWorkspace`] ([`evaluate_point`]):
 //!
 //! 1. a **uniform steady-load run** of the point's [`vs_core::PdsRig`] for
 //!    power-delivery efficiency (PDE), with the cross-layer family charged
@@ -20,18 +21,22 @@
 //! point is at least as good in all three and strictly better in one
 //! (strict Pareto dominance; exact ties do not dominate each other).
 //!
-//! Scheduling mirrors the sweep's two-level queue: level 1 hands each
-//! worker a *topology group* (points sharing a stack geometry, hence a
-//! netlist family — the recycled workspace's buffers and DC cache stay
-//! warm), level 2 claims lanes of `batch_lanes.max(1)` consecutive points
-//! off the group's atomic cursor; workers whose groups drained steal lanes
-//! from groups still in flight. Identity and memoization route through
-//! [`SuiteKey`]: duplicate points evaluate once, and completed points are
-//! journaled ([`crate::journal::record_point`]) so `dse --resume` replays
-//! verified metrics instead of recomputing them. Artifacts are
-//! bit-identical whatever the worker count, lane width, or resume history.
+//! Scheduling follows the inputs each half reads, not the points: a
+//! point's PDE run reads only its PDS kind, stack, overhead watts, per-SM
+//! load and step count ([`PdeRun`]), and a circuit-only worst-case run
+//! reads no controller axis ([`WorstCaseConfig::canonical`]). [`plan`]
+//! turns the pending points into one [`DseTask`] per distinct PDE run,
+//! with the worst-case runs of its points deduplicated by
+//! [`WorstCaseConfig::run_key`]; workers claim tasks off one atomic
+//! cursor. Keys compare every input exactly, so each row is bit-identical
+//! to [`evaluate_point`] of its point. Identity and memoization of points
+//! route through [`SuiteKey`]: duplicate points evaluate once, and
+//! completed points are journaled ([`crate::journal::record_point`]) so
+//! `dse --resume` replays verified metrics instead of recomputing them.
+//! Artifacts are bit-identical whatever the worker count or resume
+//! history.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +44,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use vs_circuit::SolverWorkspace;
-use vs_core::{run_worst_case_in, PdsRig, StackGeometry, WorstCaseConfig};
+use vs_core::{run_worst_case_in, PdsKind, PdsRig, StackGeometry, WorstCaseConfig};
 use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
 };
@@ -88,10 +93,6 @@ pub struct PointMetrics {
 pub struct DseOptions {
     /// Worker threads; 0 = one per available core.
     pub jobs: usize,
-    /// Consecutive same-topology points per queue claim
-    /// (`0`/`1` = single-point claims). Artifacts are bit-identical either
-    /// way.
-    pub batch_lanes: usize,
     /// Settings the evaluations run under (the cycle cap scales both run
     /// lengths; the seed travels in the manifest and the [`SuiteKey`]s).
     pub settings: RunSettings,
@@ -162,61 +163,105 @@ pub fn mark_frontier(rows: &mut [DsePointRow]) {
     }
 }
 
-/// Evaluates one point on recycled workspaces: the uniform-load PDE run,
-/// then the worst-case gating run. Pure in (`point`, `settings`) — the
-/// workspaces only save allocations, never change results.
+/// The inputs of one uniform-load PDE run: everything the first half of
+/// [`evaluate_point`] reads. Points that agree on all of them share the
+/// run: `vth` and the weights never reach it, and a circuit-only point's
+/// controller axes add no overhead power.
+#[derive(Debug, Clone, Copy)]
+pub struct PdeRun {
+    /// PDS kind (family and CR-IVR area).
+    pub kind: PdsKind,
+    /// Stack geometry.
+    pub stack: StackGeometry,
+    /// Overhead power charged to the run ([`control_overhead_w`]), watts.
+    pub overhead_w: f64,
+    /// Uniform per-SM load, watts.
+    pub p_sm_w: f64,
+    /// Rig steps.
+    pub steps: u64,
+}
+
+impl PdeRun {
+    /// The PDE run of `point` under `settings`. Run length scales with the
+    /// settings' cycle cap so profiles shorten dse runs the same way they
+    /// shorten suite runs.
+    pub fn of(point: &ConfigPoint, settings: &RunSettings) -> PdeRun {
+        PdeRun {
+            kind: point.pds.kind(point.area),
+            stack: point.stack,
+            overhead_w: control_overhead_w(point),
+            p_sm_w: P_SM_NOMINAL_W * point.workload,
+            steps: (settings.max_cycles / 40).clamp(512, 8192),
+        }
+    }
+
+    /// The run's identity: every input, `f64`s by bit pattern.
+    pub fn key(&self) -> Vec<u64> {
+        let PdeRun { kind, stack, overhead_w, p_sm_w, steps } = *self;
+        let mut key = Vec::with_capacity(7);
+        kind.stable_key_into(&mut key);
+        stack.stable_key_into(&mut key);
+        key.extend([overhead_w.to_bits(), p_sm_w.to_bits(), steps]);
+        key
+    }
+
+    /// Runs it on a recycled workspace and returns the PDE.
+    pub fn run(&self, workspace: SolverWorkspace) -> (f64, SolverWorkspace) {
+        let n_sms = self.stack.n_sms() as usize;
+        let mut rig = PdsRig::with_params_in(
+            self.kind,
+            &self.stack.pdn_params(),
+            1.0 / CLOCK_HZ,
+            self.overhead_w,
+            workspace,
+        );
+        let loads = vec![self.p_sm_w; n_sms];
+        let zeros = vec![0.0; n_sms];
+        for _ in 0..self.steps {
+            // A solver give-up leaves the rig at its last accepted state;
+            // the ledger then reflects the truncated run — still a pure
+            // function of the inputs, so determinism holds.
+            if rig.step(&loads, &zeros, &zeros).is_err() {
+                break;
+            }
+        }
+        (rig.ledger().pde(), rig.into_workspace())
+    }
+}
+
+/// The worst-case gating run of `point`: one layer gates 40% into a run
+/// whose length scales with the settings' cycle cap.
+fn worst_case_config(point: &ConfigPoint, settings: &RunSettings) -> WorstCaseConfig {
+    let droop_steps = (settings.max_cycles / 40).clamp(1024, 3500);
+    let duration_s = droop_steps as f64 * (1.0 / CLOCK_HZ);
+    WorstCaseConfig {
+        area_mult: point.area,
+        geometry: point.stack,
+        cross_layer: point.pds == PdsFamily::Cross,
+        latency_cycles: point.latency,
+        weights: point.weights,
+        v_threshold: point.vth,
+        detector: point.detector,
+        p_sm_w: P_SM_NOMINAL_W * point.workload,
+        gate_at_s: 0.4 * duration_s,
+        duration_s,
+        ..WorstCaseConfig::default()
+    }
+}
+
+/// Evaluates one point on recycled workspaces: the uniform-load PDE run
+/// (objective 1), then the worst-case gating run for the droop the
+/// guardband must cover (objective 3). Pure in (`point`, `settings`) — the
+/// workspaces only save allocations, never change results. This is the
+/// reference definition of a point; [`run_dse`] shares runs between points
+/// but produces the same bits.
 pub fn evaluate_point(
     point: &ConfigPoint,
     settings: &RunSettings,
     workspace: SolverWorkspace,
 ) -> (PointMetrics, SolverWorkspace) {
-    let dt = 1.0 / CLOCK_HZ;
-    let n_sms = point.stack.n_sms() as usize;
-    let p_sm_w = P_SM_NOMINAL_W * point.workload;
-
-    // Objective 1: PDE under uniform steady load. Run length scales with
-    // the settings' cycle cap so profiles shorten dse runs the same way
-    // they shorten suite runs.
-    let steps = (settings.max_cycles / 40).clamp(512, 8192);
-    let mut rig = PdsRig::with_params_in(
-        point.pds.kind(point.area),
-        &point.stack.pdn_params(),
-        dt,
-        control_overhead_w(point),
-        workspace,
-    );
-    let loads = vec![p_sm_w; n_sms];
-    let zeros = vec![0.0; n_sms];
-    for _ in 0..steps {
-        // A solver give-up leaves the rig at its last accepted state; the
-        // ledger then reflects the truncated run — still a pure function
-        // of the point, so determinism holds.
-        if rig.step(&loads, &zeros, &zeros).is_err() {
-            break;
-        }
-    }
-    let pde = rig.ledger().pde();
-    let workspace = rig.into_workspace();
-
-    // Objective 3: worst-case droop when one layer gates mid-run.
-    let droop_steps = (settings.max_cycles / 40).clamp(1024, 3500);
-    let duration_s = dt * droop_steps as f64;
-    let (worst, workspace) = run_worst_case_in(
-        &WorstCaseConfig {
-            area_mult: point.area,
-            geometry: point.stack,
-            cross_layer: point.pds == PdsFamily::Cross,
-            latency_cycles: point.latency,
-            weights: point.weights,
-            v_threshold: point.vth,
-            detector: point.detector,
-            p_sm_w,
-            gate_at_s: 0.4 * duration_s,
-            duration_s,
-            ..WorstCaseConfig::default()
-        },
-        workspace,
-    );
+    let (pde, workspace) = PdeRun::of(point, settings).run(workspace);
+    let (worst, workspace) = run_worst_case_in(&worst_case_config(point, settings), workspace);
     (
         PointMetrics {
             pde,
@@ -227,81 +272,112 @@ pub fn evaluate_point(
     )
 }
 
-/// A topology group's pending work: indices into the unique-point list,
-/// all sharing one stack geometry, behind an atomic lane cursor.
-struct Group {
-    idx: Vec<usize>,
-    next: AtomicUsize,
+/// One unit of dse work: a distinct PDE run, and the distinct worst-case
+/// runs of the points that share it.
+#[derive(Debug, Clone)]
+pub struct DseTask {
+    /// The shared PDE run.
+    pub pde: PdeRun,
+    /// Distinct worst-case runs, in first-appearance order.
+    pub worst_cases: Vec<WorstCaseConfig>,
+    /// The task's points as `(index into the planned points, index into
+    /// worst_cases)`, in input order.
+    pub points: Vec<(usize, usize)>,
 }
 
-/// Runs the exploration: enumerate, dedup by [`SuiteKey`], shard the
-/// pending points over the worker pool, journal completions, and mark the
-/// Pareto frontier.
+/// Plans `points` into one [`DseTask`] per distinct [`PdeRun`], in
+/// first-appearance order; within a task, points whose worst-case runs
+/// share a [`WorstCaseConfig::run_key`] share the run. Every point's
+/// worst-case inputs determine its PDE run's, so deduplicating within a
+/// task misses no sharing.
+pub fn plan(points: &[ConfigPoint], settings: &RunSettings) -> Vec<DseTask> {
+    let mut task_of: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut runs_of: Vec<HashMap<Vec<u64>, usize>> = Vec::new();
+    let mut tasks: Vec<DseTask> = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        let pde = PdeRun::of(point, settings);
+        let t = *task_of.entry(pde.key()).or_insert_with(|| {
+            tasks.push(DseTask { pde, worst_cases: Vec::new(), points: Vec::new() });
+            runs_of.push(HashMap::new());
+            tasks.len() - 1
+        });
+        let task = &mut tasks[t];
+        let worst = worst_case_config(point, settings);
+        let w = *runs_of[t].entry(worst.run_key()).or_insert_with(|| {
+            task.worst_cases.push(worst);
+            task.worst_cases.len() - 1
+        });
+        task.points.push((i, w));
+    }
+    tasks
+}
+
+/// The distinct points of `space` in enumeration order with their keys:
+/// the first occurrence per [`SuiteKey`] wins the canonical slot.
+fn unique_points(space: &AxisSpace, settings: &RunSettings) -> Vec<(ConfigPoint, SuiteKey)> {
+    let mut seen: HashSet<SuiteKey> = HashSet::new();
+    space
+        .points()
+        .into_iter()
+        .map(|point| (point, point.suite_key(settings)))
+        .filter(|(_, key)| seen.insert(key.clone()))
+        .collect()
+}
+
+/// The points [`run_dse`] computes for `opts` rather than replays from
+/// its journal, in enumeration order. [`plan`] of these is the work the
+/// run does.
+pub fn pending_points(opts: &DseOptions) -> Vec<ConfigPoint> {
+    unique_points(&opts.space, &opts.settings)
+        .into_iter()
+        .filter(|(_, key)| !opts.preloaded.contains_key(&key.to_hex()))
+        .map(|(point, _)| point)
+        .collect()
+}
+
+/// Runs the exploration: enumerate, dedup by [`SuiteKey`], [`plan`] the
+/// pending points into tasks, run the tasks over the worker pool, journal
+/// each point as its task completes, and mark the Pareto frontier.
 pub fn run_dse(opts: &DseOptions) -> DseResult {
     let started = Instant::now();
-    let enumerated_points = opts.space.points();
-    let enumerated = enumerated_points.len();
-
-    // Dedup: first occurrence per SuiteKey wins the canonical slot.
-    let mut seen: HashMap<SuiteKey, usize> = HashMap::new();
-    let mut unique: Vec<(ConfigPoint, SuiteKey)> = Vec::new();
-    for point in enumerated_points {
-        let key = point.suite_key(&opts.settings);
-        if !seen.contains_key(&key) {
-            seen.insert(key.clone(), unique.len());
-            unique.push((point, key));
-        }
-    }
+    let enumerated = opts.space.len();
+    let unique = unique_points(&opts.space, &opts.settings);
 
     // Install journal replays; everything else is pending work.
-    let mut slots: Vec<Option<PointMetrics>> = vec![None; unique.len()];
-    let mut replayed = 0;
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, (_, key)) in unique.iter().enumerate() {
-        match opts.preloaded.get(&key.to_hex()) {
-            Some(metrics) => {
-                slots[i] = Some(*metrics);
-                replayed += 1;
-            }
-            None => pending.push(i),
-        }
-    }
+    let mut slots: Vec<Option<PointMetrics>> = unique
+        .iter()
+        .map(|(_, key)| opts.preloaded.get(&key.to_hex()).copied())
+        .collect();
+    let pending: Vec<usize> = (0..unique.len()).filter(|&i| slots[i].is_none()).collect();
     let evaluated = pending.len();
-
-    // Level-1 groups: pending points bucketed by stack geometry in
-    // first-appearance order. Enumeration puts the stack axis outermost,
-    // so a group's points share one netlist topology and are consecutive —
-    // a worker's recycled workspace stays warm across its whole lane.
-    let mut group_of: HashMap<StackGeometry, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for &i in &pending {
-        let stack = unique[i].0.stack;
-        let g = *group_of.entry(stack).or_insert_with(|| {
-            groups.push(Group { idx: Vec::new(), next: AtomicUsize::new(0) });
-            groups.len() - 1
-        });
-        groups[g].idx.push(i);
-    }
+    let replayed = unique.len() - evaluated;
+    let pending_points: Vec<ConfigPoint> = pending.iter().map(|&i| unique[i].0).collect();
+    let tasks = plan(&pending_points, &opts.settings);
 
     let jobs = effective_jobs(opts.jobs);
-    let lanes = opts.batch_lanes.max(1);
-    let next_group = AtomicUsize::new(0);
+    let next_task = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let results: Mutex<&mut Vec<Option<PointMetrics>>> = Mutex::new(&mut slots);
     let progress_every = (evaluated / 20).max(1);
 
-    // Claims one lane off `group` and evaluates it; returns false when the
-    // group's cursor is exhausted.
-    let drain_lane = |group: &Group, workspace: &mut Option<SolverWorkspace>| -> bool {
-        let start = group.next.fetch_add(lanes, Ordering::Relaxed);
-        if start >= group.idx.len() {
-            return false;
+    // Runs one task's PDE run and distinct worst-case runs, then fills,
+    // journals and reports every point of the task.
+    let run_task = |task: &DseTask, workspace: SolverWorkspace| -> SolverWorkspace {
+        let span = obs::tracer().begin();
+        let (pde, mut workspace) = task.pde.run(workspace);
+        let mut voltages = Vec::with_capacity(task.worst_cases.len());
+        for cfg in &task.worst_cases {
+            let (worst, back) = run_worst_case_in(cfg, workspace);
+            workspace = back;
+            voltages.push((worst.worst_voltage, worst.final_voltage));
         }
-        for &i in &group.idx[start..group.idx.len().min(start + lanes)] {
+        obs::metric_inc("dse.pde_runs", 1);
+        obs::metric_inc("dse.worst_case_runs", task.worst_cases.len() as u64);
+        for &(j, w) in &task.points {
+            let i = pending[j];
             let (point, key) = &unique[i];
-            let ws = workspace.take().unwrap_or_default();
-            let (metrics, ws) = evaluate_point(point, &opts.settings, ws);
-            *workspace = Some(ws);
+            let (worst_v, final_v) = voltages[w];
+            let metrics = PointMetrics { pde, worst_v, final_v };
             if let Some(dir) = &opts.journal_dir {
                 // Best-effort, like scenario journaling: a lost record
                 // costs a recompute on resume, never the run.
@@ -318,30 +394,28 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
                 );
             }
         }
-        true
+        if span.is_some() {
+            obs::tracer().end_span(
+                obs::worker_track(),
+                "dse",
+                "dse_task",
+                span,
+                &[
+                    ("stack", task.pde.stack.to_string()),
+                    ("points", task.points.len().to_string()),
+                    ("worst_case_runs", task.worst_cases.len().to_string()),
+                ],
+            );
+        }
+        workspace
     };
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
-                let mut workspace: Option<SolverWorkspace> = None;
-                // Level 1: own the next unclaimed topology group.
-                loop {
-                    let g = next_group.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else { break };
-                    while drain_lane(group, &mut workspace) {}
-                }
-                // Level 2: steal lanes from groups still in flight.
-                loop {
-                    let mut claimed = false;
-                    for group in &groups {
-                        while drain_lane(group, &mut workspace) {
-                            claimed = true;
-                        }
-                    }
-                    if !claimed {
-                        break;
-                    }
+                let mut workspace = SolverWorkspace::default();
+                while let Some(task) = tasks.get(next_task.fetch_add(1, Ordering::Relaxed)) {
+                    workspace = run_task(task, workspace);
                 }
             });
         }

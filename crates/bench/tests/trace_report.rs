@@ -1,7 +1,8 @@
 //! Tier-1 observability: a traced chaos sweep yields a loadable Perfetto
 //! trace with retry/quarantine spans and executor metrics, the run report
 //! names the quarantined (suite, scenario) pairs with per-scenario p95s,
-//! and `diff-baseline` gates drift between artifact stores.
+//! `diff-baseline` gates drift between artifact stores, and a traced dse
+//! run records one `dse_task` span per distinct PDE run.
 //!
 //! One `#[test]` on purpose: the suite memo, chaos plan, and observability
 //! globals (tracer, executor metric registry) are process-wide, and the
@@ -10,6 +11,7 @@
 use std::path::PathBuf;
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosEvent, ChaosMode, ChaosPlan};
+use vs_bench::dse::{run_dse, DseOptions};
 use vs_bench::obs;
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
 use vs_bench::shard::{self, ExecutorConfig};
@@ -222,6 +224,29 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     let (reparsed, no_metrics) = parse_chrome_trace(&chrome_trace_json(&generated, None)).unwrap();
     assert!(no_metrics.is_none());
     assert_eq!(reparsed, generated);
+
+    // Phase 5 — a traced dse run over 8 points: `vth` is dead for the PDE
+    // run and the whole controller for circuit points, so 4 tasks (one per
+    // distinct PDE run) make 6 worst-case runs between them.
+    obs::reset_observability_for_tests();
+    obs::set_tracing(true);
+    let space = "area=0.1|0.2,pds=cross|circuit,vth=0.88|0.9".parse().unwrap();
+    let explored =
+        run_dse(&DseOptions { jobs: 2, settings: micro(), space, ..DseOptions::default() });
+    obs::set_tracing(false);
+    assert_eq!(explored.evaluated, 8);
+    let tasks: Vec<TraceEvent> =
+        obs::drain_trace().into_iter().filter(|e| e.name == "dse_task").collect();
+    assert_eq!(tasks.len(), 4, "one dse_task span per distinct PDE run");
+    let arg_sum = |key: &str| -> u64 {
+        tasks.iter().map(|e| e.arg(key).unwrap().parse::<u64>().unwrap()).sum()
+    };
+    assert_eq!(arg_sum("points"), 8);
+    assert_eq!(arg_sum("worst_case_runs"), 6);
+    assert!(tasks.iter().all(|e| e.cat == "dse" && e.arg("stack") == Some("4x4")));
+    let snap = obs::metrics_snapshot();
+    assert_eq!(snap.counter("dse.pde_runs"), Some(4));
+    assert_eq!(snap.counter("dse.worst_case_runs"), Some(6));
 
     obs::reset_observability_for_tests();
     shard::reset_suite_memo_for_tests();

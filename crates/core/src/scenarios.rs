@@ -195,6 +195,67 @@ impl Default for WorstCaseConfig {
     }
 }
 
+impl WorstCaseConfig {
+    /// This config with every input [`run_worst_case_in`] does not read
+    /// reset to its default. A circuit-only run (`cross_layer == false`)
+    /// builds no controller, so its latency, weights, threshold, detector
+    /// and uncontrollable-power floor are dead inputs. The run itself
+    /// starts from this form, so configs with equal canonical forms give
+    /// bit-identical results by construction.
+    #[must_use]
+    pub fn canonical(&self) -> WorstCaseConfig {
+        if self.cross_layer {
+            return self.clone();
+        }
+        let defaults = WorstCaseConfig::default();
+        WorstCaseConfig {
+            latency_cycles: defaults.latency_cycles,
+            weights: defaults.weights,
+            v_threshold: defaults.v_threshold,
+            detector: defaults.detector,
+            p_floor_w: defaults.p_floor_w,
+            ..self.clone()
+        }
+    }
+
+    /// The identity of the run this config describes: every field of
+    /// [`WorstCaseConfig::canonical`], `f64`s by bit pattern (exact, never a
+    /// tolerance). Two configs share a key iff their runs read identical
+    /// inputs. The exhaustive destructuring makes adding a field without
+    /// extending the key a compile error.
+    #[must_use]
+    pub fn run_key(&self) -> Vec<u64> {
+        let WorstCaseConfig {
+            area_mult,
+            geometry,
+            cross_layer,
+            latency_cycles,
+            weights,
+            v_threshold,
+            detector,
+            p_sm_w,
+            p_floor_w,
+            gate_at_s,
+            duration_s,
+            gated_layer,
+        } = self.canonical();
+        let mut key = vec![area_mult.to_bits()];
+        geometry.stable_key_into(&mut key);
+        key.extend([u64::from(cross_layer), u64::from(latency_cycles)]);
+        weights.stable_key_into(&mut key);
+        key.push(v_threshold.to_bits());
+        detector.stable_key_into(&mut key);
+        key.extend([
+            p_sm_w.to_bits(),
+            p_floor_w.to_bits(),
+            gate_at_s.to_bits(),
+            duration_s.to_bits(),
+            gated_layer as u64,
+        ]);
+        key
+    }
+}
+
 /// Outcome of a worst-case run.
 #[derive(Debug, Clone)]
 pub struct WorstCaseResult {
@@ -227,6 +288,7 @@ pub fn run_worst_case_in(
     cfg: &WorstCaseConfig,
     workspace: SolverWorkspace,
 ) -> (WorstCaseResult, SolverWorkspace) {
+    let cfg = &cfg.canonical();
     let clock_hz = 700e6;
     let dt = 1.0 / clock_hz;
     let pds = if cfg.cross_layer {

@@ -1,8 +1,9 @@
 //! Steady-state transient stepping must perform **zero heap allocations per
 //! cycle** — the acceptance bar for the batched co-simulation hot path. A
 //! counting global allocator wraps the system allocator; after warm-up, a
-//! window of `step()` / `step_with_recovery()` calls must leave the
-//! allocation counter untouched.
+//! window of `step()` / `step_with_recovery()` calls must leave the test
+//! thread's allocation counter untouched. The counter is per thread, so
+//! tests running in parallel never see each other's allocations.
 //!
 //! The netlist below is a miniature of the stacked power-delivery system the
 //! co-simulation drives: a stacked source, per-layer decap + load current
@@ -10,17 +11,28 @@
 //! supply path, and a switch — every element kind the hot path stamps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// other threads' allocations (the test harness runs tests in
+    /// parallel) out of a measuring window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` skips the count
+/// instead of panicking during thread-local teardown.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the current thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A two-layer stacked PDN in miniature, with externally controlled loads.

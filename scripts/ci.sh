@@ -64,6 +64,7 @@ cargo test -q --workspace
 
 echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
+cargo test --release -q -p vs-core --test worst_case_key
 cargo test --release -q -p vs-bench --test sweep_shard
 
 echo "== batched SoA solving: differential + property + mask-fuzz suites =="
@@ -79,15 +80,21 @@ cargo test --release -q -p vs-bench --test campaign_jobs
 echo "== observability: traced chaos sweep, run report, baseline diff =="
 cargo test --release -q -p vs-bench --test trace_report
 
-echo "== dse: determinism matrix + torn-write resume, frontier claims =="
+echo "== dse: determinism matrix + torn-write resume, shared runs, frontier claims =="
 cargo test --release -q -p vs-bench --test dse
 # Tiny grid: the frontier claims (paper cell non-dominated) must pass.
 cargo run --release -q -p vs-bench --bin dse -- \
     --profile tiny --out target/dse-smoke --progress off > /dev/null
-# Full 1728-point grid through the sharded queue at the tiny profile.
-cargo run --release -q -p vs-bench --bin dse -- \
-    --grid full --profile tiny --jobs 0 --batch-lanes 4 \
-    --out target/dse-full --progress off > /dev/null
+# Full 1728-point grid at the tiny profile: each distinct circuit
+# simulation runs once, so the summary must report the planned counts.
+if ! cargo run --release -q -p vs-bench --bin dse -- \
+    --grid full --profile tiny --jobs 0 \
+    --out target/dse-full --progress off > /dev/null 2> target/dse-full.stderr \
+    || ! grep -q "162 PDE runs, 882 worst-case runs" target/dse-full.stderr; then
+    echo "dse full grid: failed or unexpected run counts"
+    cat target/dse-full.stderr
+    exit 1
+fi
 echo "dse smoke (tiny + full grid): OK"
 
 echo "== diff-baseline self-check =="
