@@ -177,13 +177,11 @@ fn bench_rig() {
     });
 }
 
-/// Guard: with batching disabled (the default), the scalar rig hot path must
-/// stay allocation-free per cycle. `PdsRig::step` is now the composition
-/// `stage_loads` → `step_with_recovery` → `finish_step` — the seams the
-/// batched SoA driver hooks into — and splitting it must not have introduced
-/// per-cycle heap traffic. Same bar as the `vs-circuit` `zero_alloc` tests:
-/// warm the rig, then a window of steady-state steps must leave the counting
-/// allocator untouched.
+/// Guard: the scalar rig hot path must stay allocation-free per cycle.
+/// `PdsRig::step` stages the loads, runs `step_with_recovery`, and books the
+/// step's energy; none of it may introduce per-cycle heap traffic. Same bar
+/// as the `vs-circuit` `zero_alloc` tests: warm the rig, then a window of
+/// steady-state steps must leave the counting allocator untouched.
 fn bench_scalar_alloc_guard() {
     let mut rig = PdsRig::new(PdsKind::VsCrossLayer { area_mult: 0.2 }, 1.0 / 700e6, 0.08);
     let p = vec![8.0; 16];
@@ -199,8 +197,8 @@ fn bench_scalar_alloc_guard() {
     println!("scalar_rig_step alloc guard: {delta} allocations over 1000 cycles (limit 0)");
     assert_eq!(
         delta, 0,
-        "batching-disabled scalar rig.step allocated {delta} times over 1000 cycles: \
-         the stage_loads/step/finish_step split is no longer allocation-free"
+        "scalar rig.step allocated {delta} times over 1000 cycles: \
+         the rig hot path is no longer allocation-free"
     );
 }
 

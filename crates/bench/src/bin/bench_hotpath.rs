@@ -1,5 +1,5 @@
 //! Hot-path micro-benchmark: throughput and allocation pressure of the
-//! batched co-simulation loop.
+//! pooled co-simulation loop.
 //!
 //! Warms a [`vs_core::CosimPool`] with one run, then measures a window of
 //! back-to-back pooled runs of the heartwall scenario under the cross-layer
@@ -12,19 +12,10 @@
 //!   allocation-free, enforced by `vs-circuit`'s `zero_alloc` tests),
 //! * pool statistics (`runs`, `dc_cache_hits`).
 //!
-//! It also measures **batched lane scaling**: the per-lane cost of one
-//! circuit solve when a [`vs_circuit::BatchedTransient`] advances N
-//! parameter-variant copies of the stacked netlist in lockstep
-//! (N = 1/2/4/8). The lanes share one LU factorization per shared step, so
-//! per-lane cost must fall monotonically with N — the binary asserts it.
-//!
 //! Usage: `cargo run --release -p vs-bench --bin bench_hotpath [-- --json
-//! <path>] [-- --record-lane-scaling <artifact>]` (`-` means stdout; default
-//! prints a human summary only). `--record-lane-scaling` rewrites the
-//! `"lane_scaling_record"` line inside the given committed artifact
-//! (BENCH_hotpath.json) in place — tier-2 CI uses it to keep the record
-//! fresh. `VS_BENCH_SCALE` / `VS_BENCH_MAX_CYCLES` rescale the runs as for
-//! the figure binaries. The committed `BENCH_hotpath.json` pairs this
+//! <path>]` (`-` means stdout; default prints a human summary only).
+//! `VS_BENCH_SCALE` / `VS_BENCH_MAX_CYCLES` rescale the runs as for the
+//! figure binaries. The committed `BENCH_hotpath.json` pairs this
 //! binary's output with the pre-optimization baseline (see EXPERIMENTS.md,
 //! "bench_hotpath").
 
@@ -33,9 +24,7 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use vs_bench::BenchEnv;
-use vs_circuit::{BatchedTransient, Integration, RecoveryPolicy, Transient};
 use vs_core::{CosimPool, PdsKind, ScenarioId};
-use vs_pds::{AreaModel, CrIvrConfig, PdnParams, StackedPdn};
 
 struct CountingAlloc;
 
@@ -88,145 +77,8 @@ fn json_sink() -> Option<String> {
     None
 }
 
-/// Where the lane-scaling row should be recorded, if anywhere:
-/// `--record-lane-scaling <artifact>`.
-fn record_sink() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--record-lane-scaling" {
-            return Some(args.next().unwrap_or_else(|| {
-                eprintln!("error: --record-lane-scaling needs a path");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
 /// Measured pooled runs after a warm-up run primes the workspace.
 const MEASURED_RUNS: u64 = 3;
-
-/// Lane counts the scaling record covers (the last one includes a partial
-/// amortization regime: eight lanes share one factorization).
-const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Shared warm-up steps before each timed window (first steps touch
-/// capacity; scratch buffers size themselves lazily).
-const LANE_WARMUP_STEPS: usize = 64;
-/// Shared steps per timed window.
-const LANE_MEASURED_STEPS: usize = 2_000;
-/// Timed windows per lane count; the best is reported so scheduler noise
-/// cannot produce a spurious non-monotonic row.
-const LANE_TRIALS: usize = 3;
-
-/// One parameter-variant lane: the cross-layer 0.2x stacked netlist the
-/// sweep spends most of its time in, with per-lane SM load currents. Loads
-/// live on controlled current sources (RHS-only), so every lane keeps the
-/// bit-identical stamp matrix that lets the batch share one LU
-/// factorization — the same grouping the sharded sweep's scenario lanes hit.
-fn build_lane(lane: usize) -> Transient {
-    let params = PdnParams::default();
-    let am = AreaModel::default();
-    let crivr = CrIvrConfig::cross_layer_default(&am);
-    let pdn = StackedPdn::build(&params, Some((&crivr, &am)));
-    let (v0, g2) = pdn.balanced_initial_state();
-    let mut sim = Transient::with_initial_state(
-        &pdn.netlist,
-        1.0 / 700e6,
-        Integration::Trapezoidal,
-        &v0,
-        &g2,
-    )
-    .expect("stacked netlist must build");
-    for layer in 0..4 {
-        for col in 0..4 {
-            let sm = layer * 4 + col;
-            sim.set_control(pdn.sm_load[layer][col], 6.0 + 0.4 * lane as f64 + 0.1 * sm as f64);
-        }
-    }
-    sim
-}
-
-/// Per-lane wall cost (ns) of one batched circuit solve at each lane count.
-/// Dev hosts here have `available_parallelism = 1`, so this measures the
-/// structural win only: amortizing the shared factorization and SoA
-/// substitution bookkeeping over N lanes on one core.
-fn measure_lane_scaling() -> Vec<(usize, f64)> {
-    let policy = RecoveryPolicy::default();
-    let mut best = [f64::INFINITY; LANE_COUNTS.len()];
-    // Trials interleave across lane counts so a slow stretch on a shared
-    // host degrades every N alike instead of biasing one row.
-    for _ in 0..LANE_TRIALS {
-        for (slot, &n) in LANE_COUNTS.iter().enumerate() {
-            let mut batch = BatchedTransient::new((0..n).map(build_lane).collect());
-            for _ in 0..LANE_WARMUP_STEPS {
-                batch.step_all(&policy);
-            }
-            let t0 = Instant::now();
-            for _ in 0..LANE_MEASURED_STEPS {
-                batch.step_all(&policy);
-            }
-            let per_lane = t0.elapsed().as_nanos() as f64 / (LANE_MEASURED_STEPS * n) as f64;
-            best[slot] = best[slot].min(per_lane);
-            let stats = batch.stats();
-            assert_eq!(
-                stats.mask_exits, 0,
-                "lane-scaling loads must stay on the fast path: {stats:?}"
-            );
-            if n >= 2 {
-                assert!(
-                    stats.shared_factor_groups > 0,
-                    "parameter-variant lanes no longer share factors: {stats:?}"
-                );
-            }
-        }
-    }
-    LANE_COUNTS.iter().copied().zip(best).collect()
-}
-
-/// The committed-artifact row for the lane-scaling measurement, one line.
-fn lane_scaling_row(scaling: &[(usize, f64)]) -> String {
-    let cells: Vec<String> = scaling
-        .iter()
-        .map(|(n, ns)| format!("\"n{n}\":{ns:.1}"))
-        .collect();
-    format!(
-        concat!(
-            "{{\"schema\":\"lane-scaling-v1\",\"netlist\":\"stacked cross0.2\",",
-            "\"kernel\":\"BatchedTransient::step_all\",\"measured_steps\":{},",
-            "\"trials\":{},\"per_lane_circuit_solve_ns\":{{{}}}}}"
-        ),
-        LANE_MEASURED_STEPS,
-        LANE_TRIALS,
-        cells.join(","),
-    )
-}
-
-/// Rewrites the `"lane_scaling_record"` line of the committed artifact in
-/// place, preserving indentation and the trailing comma. Tier-2 CI runs this
-/// so the committed row always matches the current tree.
-fn record_lane_scaling(path: &str, row: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let mut out = String::with_capacity(text.len());
-    let mut patched = false;
-    for line in text.lines() {
-        if line.trim_start().starts_with("\"lane_scaling_record\":") {
-            let indent = &line[..line.len() - line.trim_start().len()];
-            let comma = if line.trim_end().ends_with(',') { "," } else { "" };
-            out.push_str(indent);
-            out.push_str("\"lane_scaling_record\": ");
-            out.push_str(row);
-            out.push_str(comma);
-            patched = true;
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    assert!(patched, "{path} has no \"lane_scaling_record\" line to update");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("recorded lane-scaling row into {path}");
-}
 
 fn main() {
     let env = BenchEnv::from_env_or_exit();
@@ -268,21 +120,6 @@ fn main() {
         pool.dc_cache_hits()
     );
 
-    eprintln!("  measuring batched lane scaling (N = 1/2/4/8) ...");
-    let scaling = measure_lane_scaling();
-    println!("\n== lane scaling: batched SoA circuit solve, per-lane ns ==");
-    for (n, ns) in &scaling {
-        println!("lanes={n}: {ns:>8.1} ns per lane-solve");
-    }
-    for pair in scaling.windows(2) {
-        let ((n_lo, ns_lo), (n_hi, ns_hi)) = (pair[0], pair[1]);
-        assert!(
-            ns_hi < ns_lo,
-            "per-lane circuit solve must get cheaper with more lanes: \
-             N={n_hi} costs {ns_hi:.1} ns but N={n_lo} costs {ns_lo:.1} ns"
-        );
-    }
-
     let record = format!(
         concat!(
             "{{\"schema\":\"bench-hotpath-v1\",\"scenario\":\"{}\",\"pds\":\"cross0.2\",",
@@ -311,8 +148,5 @@ fn main() {
             std::fs::write(&sink, &record).unwrap_or_else(|e| panic!("writing {sink}: {e}"));
             eprintln!("wrote hot-path record to {sink}");
         }
-    }
-    if let Some(artifact) = record_sink() {
-        record_lane_scaling(&artifact, &lane_scaling_row(&scaling));
     }
 }

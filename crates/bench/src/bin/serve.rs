@@ -2,7 +2,7 @@
 //! request-lifecycle events out, over a content-addressed store.
 //!
 //! ```text
-//! serve (--stdio | --addr HOST:PORT) [--store DIR] [--batch-lanes N]
+//! serve (--stdio | --addr HOST:PORT) [--store DIR]
 //!       [--profile env|golden|tiny] [--seed N] [--trace]
 //!       [--progress plain|json|off]
 //! ```
@@ -35,12 +35,12 @@ use std::sync::Arc;
 
 use vs_bench::cli::{ArgSpec, CommandSpec};
 use vs_bench::serve::{serve_lines, serve_tcp, ServeOptions, Server};
-use vs_bench::{shard, RunSettings};
+use vs_bench::RunSettings;
 
 const SPEC: CommandSpec = CommandSpec {
     prog: "serve",
     about: "Persistent artifact server: JSONL requests over stdio or TCP, content-addressed cache",
-    common: &["--batch-lanes", "--trace", "--progress"],
+    common: &["--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--stdio", value: None, help: "serve one session over stdin/stdout" },
         ArgSpec { name: "--addr", value: Some("HOST:PORT"), help: "bind a TCP listener (e.g. 127.0.0.1:7777)" },
@@ -61,9 +61,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = SPEC.parse_or_exit(&args);
     parsed.common.apply_observability();
-    if parsed.common.batch_lanes > 0 {
-        shard::set_batch_lanes(parsed.common.batch_lanes);
-    }
 
     let mut settings = match parsed.extra("--profile").unwrap_or("env") {
         "env" => RunSettings::try_from_env().unwrap_or_else(|e| fail(&e.to_string())),

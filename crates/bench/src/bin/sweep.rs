@@ -1,7 +1,7 @@
 //! The parallel experiment runner and golden-artifact diff tool.
 //!
 //! ```text
-//! sweep [run] [--jobs N] [--batch-lanes N] [--out DIR] [--only id,...]
+//! sweep [run] [--jobs N] [--out DIR] [--only id,...]
 //!             [--profile env|golden|tiny] [--seed N] [--deterministic]
 //!             [--resume DIR] [--diff GOLDEN_DIR] [--tolerances FILE]
 //!             [--trace] [--progress plain|json|off]
@@ -67,7 +67,7 @@ const TOLERANCES_FLAG: ArgSpec = ArgSpec {
 const RUN_SPEC: CommandSpec = CommandSpec {
     prog: "sweep run",
     about: "Run the experiment catalogue across a worker pool and check headline claims",
-    common: &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"],
+    common: &["--jobs", "--out", "--resume", "--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--only", value: Some("id,..."), help: "run only the named experiments (see `sweep list`)" },
         ArgSpec { name: "--profile", value: Some("env|golden|tiny"), help: "run-settings profile (default env)" },
@@ -166,7 +166,6 @@ fn run_main(args: &[String]) -> ExitCode {
     let parsed = RUN_SPEC.parse_or_exit(args);
     parsed.common.apply_observability();
     let jobs = parsed.common.jobs;
-    let batch_lanes = parsed.common.batch_lanes;
     let mut out = parsed
         .common
         .out
@@ -215,7 +214,6 @@ fn run_main(args: &[String]) -> ExitCode {
     let journal_dir = (!deterministic).then(|| out.clone());
     let result = run_sweep(&SweepOptions {
         jobs,
-        batch_lanes,
         only,
         settings,
         journal_dir,

@@ -6,7 +6,10 @@
 //! [`vs_telemetry::RequestEvent`] wire form — the same `lifecycle_json`
 //! vocabulary the `--progress json` sink already speaks. Framing is
 //! hand-rolled over `BufRead` lines, so the same handler serves a TCP
-//! socket (thread per connection) and stdio (tests, CI smoke).
+//! socket (thread per connection) and stdio (tests, CI smoke). A request
+//! line longer than [`MAX_REQUEST_LINE`] bytes is answered with one
+//! `degraded` event and ends the session, so a client that never sends a
+//! newline cannot make the server buffer without bound.
 //!
 //! # Protocol
 //!
@@ -53,11 +56,12 @@
 //! process.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
@@ -66,6 +70,18 @@ use vs_telemetry::{checksum_hex, fnv1a_64, read_journal, write_atomic, JournalRe
 use crate::shard::{self, SuiteKey};
 use crate::space::{AxisSpace, ConfigPoint};
 use crate::{journal, obs, report, ExperimentId, RunSettings};
+
+/// The longest request line the server reads, in bytes, newline excluded.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// How long the TCP accept loop pauses after a failed `accept`.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// Most input dropped while closing a refused TCP connection.
+const LINGER_DRAIN_LIMIT: usize = 4 << 20;
+
+/// Longest wait for a refused TCP client to close its side.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Version of the request/response protocol. Part of the
 /// [`code_fingerprint`], so a protocol bump invalidates the store.
@@ -484,21 +500,101 @@ fn wire_args<'a>(req: &'a str, args: &'a [(&'a str, String)]) -> Vec<(&'a str, S
     all
 }
 
-/// Serves line-delimited requests from `input` until EOF or a `shutdown`
-/// request, writing response events to `output`. The stdio transport the
-/// CI smoke and tests drive; also the per-connection loop for TCP.
-pub fn serve_lines(server: &Server, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
-    for line in input.lines() {
-        if !server.handle_line(&line?, &mut output)? {
-            break;
+/// One framed read from a client.
+enum RequestLine {
+    /// A complete line (newline stripped, possibly lossy UTF-8).
+    Line(String),
+    /// More than [`MAX_REQUEST_LINE`] bytes arrived without a newline.
+    TooLong,
+    /// The client closed its side.
+    Eof,
+}
+
+/// Reads one request line, buffering at most [`MAX_REQUEST_LINE`] + 1
+/// bytes however much the client sends.
+fn read_request_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<RequestLine> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if input.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    Ok(RequestLine::Line(String::from_utf8_lossy(buf).into_owned()))
+}
+
+/// How one session ended.
+enum SessionEnd {
+    /// The client closed its side.
+    Eof,
+    /// The client sent an over-long line; it was answered `degraded`.
+    Refused,
+    /// The client asked the server to shut down.
+    Shutdown,
+}
+
+/// Serves one session: requests from `input` until EOF, an over-long line
+/// (answered `degraded`), or a `shutdown` request.
+fn serve_session(
+    server: &Server,
+    mut input: impl BufRead,
+    output: &mut dyn Write,
+) -> io::Result<SessionEnd> {
+    let mut buf = Vec::new();
+    loop {
+        match read_request_line(&mut input, &mut buf)? {
+            RequestLine::Eof => return Ok(SessionEnd::Eof),
+            RequestLine::TooLong => {
+                let error = format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing");
+                emit(output, "?", "degraded", &[("error", error)])?;
+                return Ok(SessionEnd::Refused);
+            }
+            RequestLine::Line(line) => {
+                if !server.handle_line(&line, output)? {
+                    return Ok(SessionEnd::Shutdown);
+                }
+            }
         }
     }
-    Ok(())
+}
+
+/// Serves line-delimited requests from `input` until EOF, an over-long
+/// line, or a `shutdown` request, writing response events to `output`.
+/// The stdio transport the CI smoke and tests drive.
+pub fn serve_lines(server: &Server, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
+    serve_session(server, input, &mut output).map(|_| ())
+}
+
+/// Closes a refused connection without destroying its `degraded` answer.
+/// Closing a socket that still holds unread input makes the kernel send a
+/// reset, and a reset can discard the answer before the client reads it.
+/// So the write side is shut first (the client sees the answer, then
+/// EOF), and input is read and dropped until the client closes, bounded
+/// by [`LINGER_DRAIN_LIMIT`] bytes and [`LINGER_TIMEOUT`].
+fn linger_close(conn: &TcpStream) {
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut scratch = [0u8; 8192];
+    let mut drained = 0;
+    while drained < LINGER_DRAIN_LIMIT {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match (&*conn).read(&mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// Accepts TCP connections forever (thread per connection, all sharing
 /// `server`), until some connection sends `shutdown`. Responses go back
-/// on the same socket. Returns once the listener has been released.
+/// on the same socket. A failed `accept` skips that connection instead of
+/// ending the server. Returns once the listener has been released.
 pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -506,7 +602,17 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let conn = conn?;
+        let conn = match conn {
+            Ok(conn) => conn,
+            Err(e) => {
+                // The error belongs to one pending connection (reset before
+                // accept, descriptor exhaustion); the listener stays usable.
+                // The pause keeps a persistent error from spinning a core.
+                eprintln!("[serve] accept failed: {e}; skipping connection");
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                continue;
+            }
+        };
         let server = Arc::clone(server);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
@@ -514,20 +620,17 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
                 Ok(c) => BufReader::new(c),
                 Err(_) => return,
             };
-            let mut writer = conn;
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                match server.handle_line(&line, &mut writer) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        // Shutdown: flag the accept loop and poke it awake
-                        // with a throwaway connection.
-                        stop.store(true, Ordering::SeqCst);
-                        let _ = TcpStream::connect(addr);
-                        return;
-                    }
-                    Err(_) => break, // client hung up mid-response
+            let mut writer = &conn;
+            // An I/O error means the client hung up mid-session.
+            match serve_session(&server, reader, &mut writer) {
+                Ok(SessionEnd::Shutdown) => {
+                    // Flag the accept loop and poke it awake with a
+                    // throwaway connection.
+                    stop.store(true, Ordering::SeqCst);
+                    let _ = TcpStream::connect(addr);
                 }
+                Ok(SessionEnd::Refused) => linger_close(&conn),
+                Ok(SessionEnd::Eof) | Err(_) => {}
             }
         });
     }

@@ -287,177 +287,32 @@ impl SuiteJob {
         self.next.load(Ordering::Relaxed) < N_TASKS
     }
 
-    /// Claims and runs one task group on the calling thread's pool: one
-    /// scenario under the default scalar configuration, or up to
-    /// [`batch_lanes`] scenarios advanced in lockstep as lanes of one
-    /// batched SoA circuit solve. Returns `false` when every task was
-    /// already claimed. `via` labels the claim in the trace: `"claim"` from
-    /// the suite's own requester, `"steal"` from an idle worker.
+    /// Claims and runs one scenario task on the calling thread's pool.
+    /// Returns `false` when every task was already claimed. `via` labels
+    /// the claim in the trace: `"claim"` from the suite's own requester,
+    /// `"steal"` from an idle worker.
     fn run_one_task(&self, via: &'static str) -> bool {
-        let width = batch_lanes().clamp(1, N_TASKS);
-        let start = self.next.fetch_add(width, Ordering::Relaxed);
-        if start >= N_TASKS {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        if i >= N_TASKS {
             return false;
         }
         update_queue_depth_gauge();
-        let end = (start + width).min(N_TASKS);
-        // Preloaded (journal-replayed) slots consume their claim without
+        // A preloaded (journal-replayed) slot consumes its claim without
         // running anything; likewise once the suite assembled (which
         // empties the slots), nothing is left to compute.
-        let mut todo: Vec<(usize, ScenarioId)> = Vec::with_capacity(end - start);
-        {
+        let pending = {
             let st = self.state.lock().expect("suite job state poisoned");
-            if st.done.is_none() {
-                for i in start..end {
-                    if matches!(st.slots[i], Slot::Empty) {
-                        todo.push((i, ScenarioId::ALL[i]));
-                    }
-                }
-            }
-        }
-        // Scenarios with scheduled chaos stay on the scalar path, so
-        // injected panics and stalls keep exercising the per-task isolation
-        // machinery they target; a group that cannot reach two lanes runs
-        // scalar entirely.
-        let mut lanes: Vec<(usize, ScenarioId)> = Vec::new();
-        let mut scalar: Vec<(usize, ScenarioId)> = Vec::new();
-        for &(i, id) in &todo {
-            if width >= 2 && chaos::chaos_for(id, 0).is_none() {
-                lanes.push((i, id));
-            } else {
-                scalar.push((i, id));
-            }
-        }
-        if lanes.len() < 2 {
-            scalar = todo;
-            lanes.clear();
-        }
-        if !lanes.is_empty() {
-            self.run_lane_group(&lanes, via, &mut scalar);
-        }
-        for (i, id) in scalar {
-            self.run_scalar_task(i, id, via);
+            st.done.is_none() && matches!(st.slots[i], Slot::Empty)
+        };
+        if pending {
+            self.run_task(i, ScenarioId::ALL[i], via);
         }
         true
     }
 
-    /// Runs `lanes` (≥ 2 scenarios) through one batched SoA solve on the
-    /// calling thread's pool. Lanes that succeed are journaled and filled;
-    /// lanes that fail — and every lane, if the batch attempt panics — are
-    /// pushed onto `fallback` for the scalar path, whose full
-    /// retry/quarantine machinery then owns them. Batched reports are
-    /// bit-identical to scalar ones (`vs_core::CosimPool` holds that line),
-    /// so which path produced a slot is unobservable in artifacts.
-    fn run_lane_group(
-        &self,
-        lanes: &[(usize, ScenarioId)],
-        via: &'static str,
-        fallback: &mut Vec<(usize, ScenarioId)>,
-    ) {
-        let ids: Vec<ScenarioId> = lanes.iter().map(|&(_, id)| id).collect();
-        obs::progress(
-            "task",
-            "batch",
-            &[
-                ("lanes", ids.len().to_string()),
-                ("pds", self.cfg.pds.label().to_string()),
-                ("via", via.to_string()),
-            ],
-            || {
-                format!(
-                    "  running {} scenarios batched under {} ...",
-                    ids.len(),
-                    self.cfg.pds.label()
-                )
-            },
-        );
-        let exec = executor_config();
-        let budget = exec
-            .task_deadline
-            .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
-        let track = obs::worker_track();
-        let span = obs::tracer().begin();
-        let started = Instant::now();
-        let outcome = isolated(|| {
-            with_worker_pool(|pool| {
-                let before = pool.batch_stats().multi_lane_groups;
-                let results = pool.try_run_batch_with_pm(&self.cfg, &ids, self.pm.clone(), budget);
-                (results, pool.batch_stats().multi_lane_groups - before)
-            })
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        let end_span = |outcome: &'static str| {
-            if span.is_some() {
-                obs::tracer().end_span(
-                    track,
-                    "executor",
-                    "batch",
-                    span,
-                    &[
-                        ("suite", self.key.cache_dir()),
-                        ("lanes", ids.len().to_string()),
-                        ("via", via.to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                );
-            }
-        };
-        match outcome {
-            Ok((results, groups)) => {
-                end_span("ok");
-                let reg = registry();
-                reg.batch_groups.fetch_add(groups, Ordering::Relaxed);
-                // `with_worker_pool` counted the batch as one scenario
-                // task; account for the other lanes.
-                reg.scenario_tasks
-                    .fetch_add(ids.len() as u64 - 1, Ordering::Relaxed);
-                // Wall time is observational only; split it evenly since
-                // the lanes genuinely ran interleaved.
-                let lane_wall_s = wall_s / ids.len() as f64;
-                for (&(i, id), result) in lanes.iter().zip(results) {
-                    match result {
-                        Ok(report) => {
-                            let success = TaskSuccess {
-                                report,
-                                attempts: 1,
-                                attempt_wall_s: vec![lane_wall_s],
-                            };
-                            if obs::tracing_enabled() {
-                                obs::metric_inc("executor.tasks_ok", 1);
-                                obs::metric_observe_wall(
-                                    &labeled("executor.task_wall_s", &[("scenario", id.name())]),
-                                    lane_wall_s,
-                                );
-                            }
-                            record_to_journal(&self.key, id, &success);
-                            self.fill_slot(i, Slot::Ready(Box::new(success.report)));
-                        }
-                        Err(_) => fallback.push((i, id)),
-                    }
-                }
-            }
-            Err(msg) => {
-                // A panic anywhere in the batch taints the whole shared
-                // attempt: rebuild the pool shard (never trust one a panic
-                // unwound through) and retry every lane on the scalar path.
-                end_span("panic");
-                obs::metric_inc("executor.task_panics", 1);
-                obs::progress(
-                    "task",
-                    "batch_panic",
-                    &[("lanes", ids.len().to_string()), ("error", msg.clone())],
-                    || format!("  batched group panicked ({msg}); retrying lanes scalar"),
-                );
-                rebuild_worker_pool();
-                obs::metric_inc("executor.pool_rebuilds", 1);
-                fallback.extend_from_slice(lanes);
-            }
-        }
-    }
-
     /// Runs one already-claimed scenario task through the isolated
     /// (retry/quarantine) executor and decides its slot.
-    fn run_scalar_task(&self, i: usize, id: ScenarioId, via: &'static str) {
+    fn run_task(&self, i: usize, id: ScenarioId, via: &'static str) {
         obs::progress(
             "task",
             "run",
@@ -620,10 +475,6 @@ struct Registry {
     dc_cache_hits: AtomicU64,
     replayed: AtomicU64,
     retries: AtomicU64,
-    /// Lane width task claims run at (1 = scalar, the default).
-    batch_lanes: AtomicUsize,
-    /// Multi-lane SoA solve groups formed by batched task claims.
-    batch_groups: AtomicU64,
     executor: Mutex<ExecutorConfig>,
     journal_dir: Mutex<Option<PathBuf>>,
     preloaded: Mutex<HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>>,
@@ -657,8 +508,6 @@ fn registry() -> &'static Registry {
         dc_cache_hits: AtomicU64::new(0),
         replayed: AtomicU64::new(0),
         retries: AtomicU64::new(0),
-        batch_lanes: AtomicUsize::new(1),
-        batch_groups: AtomicU64::new(0),
         executor: Mutex::new(ExecutorConfig::default()),
         journal_dir: Mutex::new(None),
         preloaded: Mutex::new(HashMap::new()),
@@ -899,22 +748,6 @@ fn record_to_journal(key: &SuiteKey, id: ScenarioId, success: &TaskSuccess) {
     }
 }
 
-/// Sets the lane width scenario-task claims run at. `1` (the default, and
-/// the floor any smaller value clamps to) keeps the historical scalar
-/// path; `n ≥ 2` makes each claim take up to `n` scenarios and advance
-/// them in lockstep through one batched SoA circuit solve
-/// (`vs_core::CosimPool::try_run_batch_with_pm`). Results are bit-identical
-/// either way — batching is purely a throughput setting.
-pub fn set_batch_lanes(n: usize) {
-    registry().batch_lanes.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The lane width scenario-task claims currently run at (see
-/// [`set_batch_lanes`]).
-pub fn batch_lanes() -> usize {
-    registry().batch_lanes.load(Ordering::Relaxed)
-}
-
 /// Installs the retry / watchdog policy isolated tasks run under.
 pub fn set_executor_config(config: ExecutorConfig) {
     *registry().executor.lock().expect("executor config poisoned") = config;
@@ -996,10 +829,6 @@ pub struct ShardStats {
     pub replayed: u64,
     /// Retry attempts spent by the isolated executor.
     pub retries: u64,
-    /// Multi-lane SoA solve groups formed by batched task claims (0 unless
-    /// [`set_batch_lanes`] enabled batching — the guard tests use this to
-    /// prove batching did not silently fall back to scalar).
-    pub batch_groups: u64,
 }
 
 /// A snapshot of the global [`ShardStats`].
@@ -1011,7 +840,6 @@ pub fn shard_stats() -> ShardStats {
         dc_cache_hits: reg.dc_cache_hits.load(Ordering::Relaxed),
         replayed: reg.replayed.load(Ordering::Relaxed),
         retries: reg.retries.load(Ordering::Relaxed),
-        batch_groups: reg.batch_groups.load(Ordering::Relaxed),
     }
 }
 
@@ -1103,8 +931,6 @@ pub fn reset_suite_memo_for_tests() {
     reg.dc_cache_hits.store(0, Ordering::Relaxed);
     reg.replayed.store(0, Ordering::Relaxed);
     reg.retries.store(0, Ordering::Relaxed);
-    reg.batch_lanes.store(1, Ordering::Relaxed);
-    reg.batch_groups.store(0, Ordering::Relaxed);
     *reg.executor.lock().expect("executor config poisoned") = ExecutorConfig::default();
     *reg.journal_dir.lock().expect("journal sink poisoned") = None;
     reg.preloaded.lock().expect("preload map poisoned").clear();

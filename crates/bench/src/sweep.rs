@@ -54,10 +54,6 @@ pub struct SweepOptions {
     /// Where to journal completed work for `--resume`; `None` disables the
     /// journal (and scenario caching) entirely.
     pub journal_dir: Option<PathBuf>,
-    /// Lane width for batched SoA circuit solving of scenario tasks
-    /// (`0`/`1` = scalar, the default; see [`shard::set_batch_lanes`]).
-    /// Artifacts are bit-identical either way.
-    pub batch_lanes: usize,
 }
 
 /// One completed experiment inside a sweep.
@@ -163,7 +159,6 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
     };
     shard::set_executor_config(opts.executor);
     shard::set_journal_dir(opts.journal_dir.clone());
-    shard::set_batch_lanes(opts.batch_lanes);
     let order = schedule_order(&ids);
     let jobs = effective_jobs(opts.jobs);
     let stats_before = shard::shard_stats();
@@ -279,7 +274,6 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
             dc_cache_hits: after.dc_cache_hits - stats_before.dc_cache_hits,
             replayed: after.replayed - stats_before.replayed,
             retries: after.retries - stats_before.retries,
-            batch_groups: after.batch_groups - stats_before.batch_groups,
         },
     }
 }
@@ -347,7 +341,6 @@ impl SweepResult {
                 ("dc_cache_hits", Json::from(self.stats.dc_cache_hits)),
                 ("replayed", Json::from(self.stats.replayed)),
                 ("retries", Json::from(self.stats.retries)),
-                ("batch_groups", Json::from(self.stats.batch_groups)),
                 ("quarantined", Json::from(self.quarantined.len() as u64)),
             ]));
         }

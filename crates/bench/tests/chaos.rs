@@ -100,7 +100,6 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         settings: micro(),
         executor: fast_retries(),
         journal_dir: Some(chaos_dir.clone()),
-        batch_lanes: 0,
     });
     clear_chaos_plan();
 
@@ -171,7 +170,6 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         settings: micro(),
         executor: fast_retries(),
         journal_dir: Some(chaos_dir.clone()),
-        batch_lanes: 0,
     });
     assert!(!resumed.is_degraded(), "{:?}", resumed.quarantined);
     let stats = shard::shard_stats();

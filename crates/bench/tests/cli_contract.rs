@@ -1,7 +1,7 @@
 //! Tier-1 CLI usage contract, checked against the real binaries: a
-//! duplicated flag or an empty `--flag=` value is a usage error (exit 2,
-//! stderr names the flag), never a silent last-wins or empty-string
-//! config. Each probe exits in argument parsing, long before any
+//! duplicated flag, an empty `--flag=` value, or a removed flag is a usage
+//! error (exit 2, stderr names the flag), never a silent last-wins,
+//! empty-string config, or ignored option. Each probe exits in argument parsing, long before any
 //! co-simulation work, so the whole matrix is cheap.
 
 use std::process::Command;
@@ -76,6 +76,23 @@ fn empty_flag_values_are_usage_errors_in_every_binary() {
         assert!(
             stderr.contains(&format!("{flag} needs a non-empty value")),
             "{args:?} must name the empty flag, stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn removed_batch_lanes_flag_is_a_usage_error() {
+    // The lockstep-lane solver and its flag are gone; an old script that
+    // still passes it must fail loudly rather than run something else.
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_sweep"), &["run", "--batch-lanes", "4"][..]),
+        (env!("CARGO_BIN_EXE_serve"), &["--stdio", "--batch-lanes", "4"][..]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, 2, "{args:?} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("unknown flag \"--batch-lanes\""),
+            "{args:?} must name the removed flag, stderr: {stderr}"
         );
     }
 }

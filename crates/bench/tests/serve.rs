@@ -16,14 +16,21 @@
 //!    the damaged scenario — 1 task, 11 replays — and still converge to
 //!    the same response bytes.
 //!
-//! One `#[test]` on purpose: the suite memo, preload registry, and
-//! journal sink are process-wide.
+//! A second test drives hostile clients: an over-long request line gets
+//! one `degraded` answer and closes that session, and the server keeps
+//! serving other clients.
+//!
+//! The suite memo, preload registry, and journal sink are process-wide,
+//! so the tests take [`serial`] before touching a [`Server`].
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosPlan};
-use vs_bench::serve::{ServeOptions, Server};
+use vs_bench::serve::{serve_lines, serve_tcp, ServeOptions, Server, MAX_REQUEST_LINE};
 use vs_bench::space::ConfigPoint;
 use vs_bench::{shard, RunSettings};
 
@@ -40,6 +47,12 @@ fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vs-bench-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Serializes the tests of this file: they share process-wide state.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 const POINT_REQ: &str = r#"{"id":"r","kind":"point","point":"area=0.2"}"#;
@@ -75,6 +88,7 @@ fn has_stage(lines: &[String], stage: &str) -> bool {
 
 #[test]
 fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
+    let _serial = serial();
     let store = tmp("store");
     let opts = ServeOptions { store: store.clone(), settings: micro() };
     let key = "area=0.2".parse::<ConfigPoint>().unwrap().suite_key(&micro());
@@ -167,4 +181,78 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     // Shutdown closes the session.
     let mut buf = Vec::new();
     assert!(!server4.handle_line(r#"{"id":"z","kind":"shutdown"}"#, &mut buf).unwrap());
+}
+
+const SHUTDOWN_REQ: &str = r#"{"id":"s","kind":"shutdown"}"#;
+
+#[test]
+fn over_long_lines_are_refused_and_other_clients_still_served() {
+    let _serial = serial();
+    let opts = ServeOptions { store: tmp("hostile"), settings: micro() };
+    shard::reset_suite_memo_for_tests();
+    let server = Arc::new(Server::open(&opts).expect("open store"));
+
+    // A line of exactly the cap is still a request (padding trims away).
+    let mut input = br#"{"id":"p","kind":"warp_drive"}"#.to_vec();
+    input.resize(MAX_REQUEST_LINE, b' ');
+    input.push(b'\n');
+    input.extend_from_slice(SHUTDOWN_REQ.as_bytes());
+    input.push(b'\n');
+    let mut out = Vec::new();
+    serve_lines(&server, &input[..], &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert!(text.contains("unknown request kind"), "{text}");
+    assert!(text.contains(r#""req":"s""#), "the request after it must be read: {text}");
+
+    // One byte more, and 1 MiB with no newline at all: one degraded line
+    // ends the session, and nothing behind it is read.
+    for len in [MAX_REQUEST_LINE + 1, 1 << 20] {
+        let mut input = vec![b'x'; len];
+        input.push(b'\n');
+        input.extend_from_slice(SHUTDOWN_REQ.as_bytes());
+        input.push(b'\n');
+        let mut out = Vec::new();
+        serve_lines(&server, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{len} bytes: {text}");
+        assert!(text.contains(r#""name":"degraded""#), "{len} bytes: {text}");
+        assert!(text.contains("exceeds 65536 bytes"), "{len} bytes: {text}");
+    }
+
+    // Over TCP: a client floods 1 MiB without a newline, gets one degraded
+    // line, and is disconnected; a second client is then served normally.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve_tcp(&server, listener))
+    };
+    let hostile = TcpStream::connect(addr).expect("connect hostile client");
+    hostile.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut flood_side = hostile.try_clone().unwrap();
+    // The server stops parsing at the cap and only drains the rest before
+    // closing, so whether this write completes does not matter.
+    let flood = std::thread::spawn(move || {
+        let _ = flood_side.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(&hostile);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("degraded reply");
+    assert!(reply.contains(r#""name":"degraded""#), "{reply}");
+    let mut rest = Vec::new();
+    let closed = match reader.read_to_end(&mut rest) {
+        Ok(_) => rest.is_empty(),
+        Err(_) => true, // reset: the server closed with unread input
+    };
+    assert!(closed, "hostile session must be closed, got {rest:?}");
+    flood.join().unwrap();
+
+    let mut client = TcpStream::connect(addr).expect("connect second client");
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    writeln!(client, "{SHUTDOWN_REQ}").unwrap();
+    let mut text = String::new();
+    client.read_to_string(&mut text).expect("second client response");
+    assert!(text.contains(r#""name":"accepted""#), "{text}");
+    assert!(text.contains(r#""name":"done""#), "{text}");
+    accept.join().unwrap().expect("accept loop ends cleanly on shutdown");
 }

@@ -102,7 +102,6 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
         settings: micro(),
         executor: fast_retries(),
         journal_dir: Some(dir.clone()),
-        batch_lanes: 0,
     });
     clear_chaos_plan();
     assert!(result.is_degraded());

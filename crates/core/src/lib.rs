@@ -14,8 +14,9 @@
 //!   configurations and get a [`CosimReport`] with PDE, loss breakdown,
 //!   supply-noise statistics, and imbalance histograms.
 //! * [`CosimPool`] — run many scenarios back-to-back on one recycled
-//!   circuit-solver workspace (the allocation-free batch hot path behind
-//!   the sweep runner; see DESIGN.md, "The zero-allocation hot path").
+//!   circuit-solver workspace (the allocation-free hot path behind the
+//!   sweep runner; see DESIGN.md, "The zero-allocation hot path"). Every
+//!   run advances its circuit one scalar transient step per GPU cycle.
 //! * [`run_worst_case`] — the synthetic worst-case imbalance scenario
 //!   behind the paper's reliability guarantee (Figs. 9–10).
 //! * [`PowerManagement`] — bolt on DFS, power gating, and the VS-aware
@@ -47,22 +48,22 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod batch;
 mod config;
 mod cosim;
 mod fault;
 mod imbalance;
 mod persist;
+mod pool;
 mod rig;
 mod scenarios;
 mod seed;
 mod supervisor;
 
-pub use batch::CosimPool;
 pub use config::{CosimConfig, ParseGeometryError, PdsKind, StackGeometry};
 pub use cosim::{run_scenario, Cosim, CosimBuilder, CosimReport, PowerManagement};
 pub use fault::{CrIvrFault, FaultEvent, FaultKind, FaultPlan, FaultWindow, LoadGlitch};
 pub use imbalance::ImbalanceHistogram;
+pub use pool::CosimPool;
 pub use rig::{EnergyLedger, PdsRig};
 pub use scenarios::{
     run_worst_case, run_worst_case_in, worst_voltage_for, ScenarioId, UnknownScenario,

@@ -1,0 +1,276 @@
+//! Pooled co-simulation: run many scenarios back-to-back on one reusable
+//! circuit-solver workspace.
+//!
+//! Every [`Cosim`] owns a transient circuit solver whose warm-up —
+//! matrix/vector buffers, LU scratch, and the DC operating point of the
+//! netlist — is pure overhead when runs execute in sequence (a suite sweep,
+//! a parameter scan, a fault campaign). [`CosimPool`] keeps one
+//! [`SolverWorkspace`] alive across runs: each run is constructed *in* the
+//! workspace, and torn back *into* it when it finishes. Reuse never changes
+//! results (the workspace re-initializes from the netlist; the DC cache only
+//! applies on an exact netlist fingerprint match), which the
+//! `workspace_reuse` integration test asserts bit-for-bit.
+
+use vs_circuit::SolverWorkspace;
+use vs_gpu::WorkloadProfile;
+
+use crate::config::CosimConfig;
+use crate::cosim::{Cosim, CosimReport, PowerManagement};
+use crate::fault::FaultPlan;
+use crate::scenarios::ScenarioId;
+use crate::supervisor::{CosimError, CycleBudget, SupervisedReport, SupervisorConfig};
+
+/// Runs scenarios back-to-back, recycling one [`SolverWorkspace`] so every
+/// run after the first skips the circuit solver's warm-up allocations (and,
+/// for a repeated PDS configuration, its DC operating-point solve).
+///
+/// # Examples
+///
+/// ```no_run
+/// use vs_core::{CosimConfig, CosimPool, ScenarioId};
+///
+/// let cfg = CosimConfig::default();
+/// let mut pool = CosimPool::new();
+/// for id in ScenarioId::ALL {
+///     let report = pool.run_scenario(&cfg, id);
+///     println!("{id}: PDE {:.1}%", 100.0 * report.pde());
+/// }
+/// assert_eq!(pool.runs(), 12);
+/// ```
+#[derive(Debug, Default)]
+pub struct CosimPool {
+    workspace: SolverWorkspace,
+}
+
+impl CosimPool {
+    /// An empty pool; the workspace warms up on the first run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// How many runs served their DC operating point from the pool's cache
+    /// instead of recomputing it. Only single-layer rigs solve a DC
+    /// operating point (stacked rigs initialize analytically), so this stays
+    /// 0 for a pool that only ran stacked rigs.
+    pub fn dc_cache_hits(&self) -> u64 {
+        self.workspace.dc_cache_hits()
+    }
+
+    /// How many runs have gone through this pool.
+    pub fn runs(&self) -> u64 {
+        self.workspace.runs()
+    }
+
+    /// Runs one catalogue scenario under `cfg` on the pooled workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit solver fails irrecoverably (see
+    /// [`Cosim::run`]); the workspace is lost with the panic.
+    pub fn run_scenario(&mut self, cfg: &CosimConfig, id: ScenarioId) -> CosimReport {
+        self.run_scenario_with_pm(cfg, id, PowerManagement::default())
+    }
+
+    /// Runs one catalogue scenario under `cfg` with power management on the
+    /// pooled workspace (the per-task unit of the sweep's scenario-level
+    /// sharding: each worker thread owns one pool and feeds it these).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit solver fails irrecoverably (see
+    /// [`Cosim::run`]); the workspace is lost with the panic.
+    pub fn run_scenario_with_pm(
+        &mut self,
+        cfg: &CosimConfig,
+        id: ScenarioId,
+        pm: PowerManagement,
+    ) -> CosimReport {
+        let profile = id.profile();
+        self.run_profile(cfg, &profile, pm)
+    }
+
+    /// Runs one workload profile under `cfg` with power management on the
+    /// pooled workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit solver fails irrecoverably (see
+    /// [`Cosim::run`]); the workspace is lost with the panic.
+    pub fn run_profile(
+        &mut self,
+        cfg: &CosimConfig,
+        profile: &WorkloadProfile,
+        pm: PowerManagement,
+    ) -> CosimReport {
+        let workspace = std::mem::take(&mut self.workspace);
+        let mut cosim = Cosim::builder(cfg, profile)
+            .power_management(pm)
+            .workspace(workspace)
+            .build();
+        let report = cosim.run();
+        self.workspace = cosim.into_workspace();
+        report
+    }
+
+    /// Fallible twin of [`CosimPool::run_scenario_with_pm`]: runs under a
+    /// watchdog [`CycleBudget`] and returns solver failures or deadline
+    /// trips as an error. The workspace is recovered on *both* paths, so a
+    /// timed-out task does not cost the pool its warm solver state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CosimError`] the supervised run recorded.
+    pub fn try_run_scenario_with_pm(
+        &mut self,
+        cfg: &CosimConfig,
+        id: ScenarioId,
+        pm: PowerManagement,
+        budget: CycleBudget,
+    ) -> Result<CosimReport, CosimError> {
+        let profile = id.profile();
+        self.try_run_profile(cfg, &profile, pm, budget)
+    }
+
+    /// Fallible twin of [`CosimPool::run_profile`] under a watchdog
+    /// [`CycleBudget`]; recovers the workspace whether the run completes or
+    /// errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CosimError`] the supervised run recorded.
+    pub fn try_run_profile(
+        &mut self,
+        cfg: &CosimConfig,
+        profile: &WorkloadProfile,
+        pm: PowerManagement,
+        budget: CycleBudget,
+    ) -> Result<CosimReport, CosimError> {
+        let workspace = std::mem::take(&mut self.workspace);
+        let mut cosim = Cosim::builder(cfg, profile)
+            .power_management(pm)
+            .workspace(workspace)
+            .budget(budget)
+            .build();
+        let result = cosim.try_run();
+        self.workspace = cosim.into_workspace();
+        result
+    }
+
+    /// Runs one workload profile under a supervisor and fault plan on the
+    /// pooled workspace (the pooled equivalent of
+    /// [`Cosim::run_supervised`]).
+    pub fn run_supervised(
+        &mut self,
+        cfg: &CosimConfig,
+        profile: &WorkloadProfile,
+        sup: &SupervisorConfig,
+        plan: &FaultPlan,
+    ) -> SupervisedReport {
+        self.run_supervised_with_budget(cfg, profile, sup, plan, CycleBudget::unlimited())
+    }
+
+    /// [`CosimPool::run_supervised`] with a watchdog [`CycleBudget`]: a
+    /// deadline trip surfaces as [`CosimError::DeadlineExceeded`] in the
+    /// report's `error` slot (and classifies as an aborted verdict), letting
+    /// the fault campaign's sharded executor retry wedged cells.
+    pub fn run_supervised_with_budget(
+        &mut self,
+        cfg: &CosimConfig,
+        profile: &WorkloadProfile,
+        sup: &SupervisorConfig,
+        plan: &FaultPlan,
+        budget: CycleBudget,
+    ) -> SupervisedReport {
+        let workspace = std::mem::take(&mut self.workspace);
+        let mut cosim = Cosim::builder(cfg, profile)
+            .workspace(workspace)
+            .budget(budget)
+            .build();
+        let report = cosim.run_supervised(sup, plan);
+        self.workspace = cosim.into_workspace();
+        report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PdsKind;
+
+    fn tiny(pds: PdsKind) -> CosimConfig {
+        CosimConfig {
+            pds,
+            workload_scale: 0.02,
+            max_cycles: 40_000,
+            ..CosimConfig::default()
+        }
+    }
+
+    #[test]
+    fn pool_reuses_dc_operating_point_across_runs() {
+        let cfg = tiny(PdsKind::ConventionalVrm);
+        let mut pool = CosimPool::new();
+        let a = pool.run_scenario(&cfg, ScenarioId::Heartwall);
+        let b = pool.run_scenario(&cfg, ScenarioId::Heartwall);
+        assert_eq!(pool.runs(), 2);
+        // Same PDS kind → same netlist fingerprint → the second run's DC
+        // solve comes from the cache.
+        assert_eq!(pool.dc_cache_hits(), 1);
+        assert!(a.completed && b.completed);
+        assert_eq!(a.cycles, b.cycles);
+    }
+
+    #[test]
+    fn pool_and_reports_are_send() {
+        // The sweep parks one pool per worker thread and moves reports
+        // across threads for assembly; both must stay `Send`.
+        fn assert_send<T: Send>() {}
+        assert_send::<CosimPool>();
+        assert_send::<CosimReport>();
+        assert_send::<SolverWorkspace>();
+    }
+
+    #[test]
+    fn tripped_budget_errors_and_keeps_workspace_warm() {
+        let cfg = tiny(PdsKind::ConventionalVrm);
+        let mut pool = CosimPool::new();
+        // Warm the DC cache, then trip a budget deterministically mid-run.
+        let ok = pool.run_scenario(&cfg, ScenarioId::Heartwall);
+        assert!(ok.completed);
+        let err = pool
+            .try_run_scenario_with_pm(
+                &cfg,
+                ScenarioId::Heartwall,
+                PowerManagement::default(),
+                CycleBudget::tripping_at(100),
+            )
+            .unwrap_err();
+        assert!(matches!(err, CosimError::DeadlineExceeded { cycle: 100 }));
+        // The workspace survived the failed run: the next run still serves
+        // its DC operating point from the cache.
+        let hits = pool.dc_cache_hits();
+        let again = pool
+            .try_run_scenario_with_pm(
+                &cfg,
+                ScenarioId::Heartwall,
+                PowerManagement::default(),
+                CycleBudget::unlimited(),
+            )
+            .unwrap();
+        assert!(again.completed);
+        assert_eq!(pool.dc_cache_hits(), hits + 1);
+        assert_eq!(again.cycles, ok.cycles);
+    }
+
+    #[test]
+    fn pool_switches_pds_kinds_safely() {
+        let mut pool = CosimPool::new();
+        let conv = pool.run_scenario(&tiny(PdsKind::ConventionalVrm), ScenarioId::Bfs);
+        let vs = pool.run_scenario(
+            &tiny(PdsKind::VsCrossLayer { area_mult: 0.2 }),
+            ScenarioId::Bfs,
+        );
+        assert!(conv.completed && vs.completed);
+        assert!(vs.pde() > conv.pde(), "{} vs {}", vs.pde(), conv.pde());
+    }
+}

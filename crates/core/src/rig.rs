@@ -248,28 +248,6 @@ impl PdsRig {
         dcc_power_w: &[f64],
         fake_power_w: &[f64],
     ) -> Result<StepReport, SolverError> {
-        self.stage_loads(sm_power_w, dcc_power_w, fake_power_w);
-        let report = self.sim.step_with_recovery(&self.recovery)?;
-        self.finish_step(fake_power_w);
-        Ok(report)
-    }
-
-    /// First phase of [`PdsRig::step`]: validates the slices and stages this
-    /// cycle's loads onto the solver's control inputs without stepping.
-    /// The batched co-simulation driver stages every lane, advances all of
-    /// them through one SoA solve, then settles each with
-    /// [`PdsRig::finish_step`]; `step` is exactly this composition, so the
-    /// split cannot change scalar results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from the SM count.
-    pub(crate) fn stage_loads(
-        &mut self,
-        sm_power_w: &[f64],
-        dcc_power_w: &[f64],
-        fake_power_w: &[f64],
-    ) {
         assert_eq!(sm_power_w.len(), self.n_sms);
         assert_eq!(dcc_power_w.len(), self.n_sms);
         assert_eq!(fake_power_w.len(), self.n_sms);
@@ -300,20 +278,11 @@ impl PdsRig {
             }
         }
         self.dcc_power_w.copy_from_slice(dcc_power_w);
-    }
-
-    /// Last phase of [`PdsRig::step`]: books the accepted step's fake and
-    /// controller energy. Call only after the staged step was accepted (the
-    /// scalar path skips it on error, and so must batch drivers).
-    pub(crate) fn finish_step(&mut self, fake_power_w: &[f64]) {
+        let report = self.sim.step_with_recovery(&self.recovery)?;
+        // Fake and controller energy are booked for accepted steps only.
         self.fake_j += fake_power_w.iter().sum::<f64>() * self.dt;
         self.elapsed_controller_j += self.controller_power_w * self.dt;
-    }
-
-    /// The underlying transient solver, for the batched driver that advances
-    /// several rigs' staged steps through one SoA kernel.
-    pub(crate) fn solver_mut(&mut self) -> &mut Transient {
-        &mut self.sim
+        Ok(report)
     }
 
     /// Replaces the adaptive solver-recovery policy (default:
@@ -321,11 +290,6 @@ impl PdsRig {
     /// every solver hiccup surface immediately).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-    }
-
-    /// The active solver-recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Scales one column's CR-IVR ladder to `factor` of its nominal
@@ -390,7 +354,7 @@ impl PdsRig {
 
     /// Tears the rig down into the circuit solver's reusable
     /// [`SolverWorkspace`] so the next rig (e.g. the next scenario in a
-    /// [`crate::CosimPool`] batch) skips its warm-up allocations.
+    /// [`crate::CosimPool`]) skips its warm-up allocations.
     pub fn into_workspace(self) -> SolverWorkspace {
         self.sim.into_workspace()
     }

@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 
 mod ac;
-mod batched;
 mod dc;
 mod error;
 mod netlist;
@@ -63,9 +62,6 @@ mod trace;
 mod transient;
 
 pub use ac::{log_space, AcAnalysis, AcSolution, AcStimulus};
-pub use batched::{
-    step_lanes_with_recovery, BatchScratch, BatchStats, BatchedTransient, LaneOutcome,
-};
 pub use dc::DcSolution;
 pub use error::SolverError;
 pub use netlist::{ControlId, Element, ElementId, Netlist, NetlistError, NodeId, Waveform};

@@ -330,12 +330,6 @@ pub struct Transient {
     energy_plan: Vec<EnergyOp>,
     per_element_absorbed_j: Vec<f64>,
     energy: EnergyReport,
-    /// Cached [`netlist_fingerprint`] of the current netlist (topology,
-    /// element values, switch states), refreshed by every refactor. Batched
-    /// stepping groups lanes by this value plus `dt`/`method`: equal keys
-    /// mean a bit-identical stamp matrix and therefore bit-identical LU
-    /// factors.
-    fingerprint: u64,
     /// Node voltages above this magnitude are classified as divergence.
     divergence_limit_v: f64,
     /// Carried through from the owning [`SolverWorkspace`], if any.
@@ -561,7 +555,6 @@ impl Transient {
             energy_plan: ws.energy_plan,
             per_element_absorbed_j,
             energy: EnergyReport::default(),
-            fingerprint: 0,
             divergence_limit_v: 1e4,
             dc_cache: ws.dc_cache,
             dc_hits: ws.dc_hits,
@@ -685,7 +678,6 @@ impl Transient {
         let factored = self.lu.refactor(&a);
         self.stamp = a;
         factored.map_err(|_| NetlistError::Singular)?;
-        self.fingerprint = netlist_fingerprint(&self.netlist);
         self.rebuild_plans();
         Ok(())
     }
@@ -1003,13 +995,8 @@ impl Transient {
     }
 
     /// Stamps the right-hand side for the step toward `t_new` into the
-    /// internal scratch buffer. The first phase of [`Transient::step`], split
-    /// out so batched stepping can stamp many lanes, solve them in one
-    /// structure-of-arrays substitution, and commit each lane — with
-    /// `build_rhs` → solve → [`Transient::commit_step`] remaining the single
-    /// definition of a step (so the batched path is bit-identical by
-    /// construction).
-    pub(crate) fn build_rhs(&mut self, t_new: f64) {
+    /// internal scratch buffer: the first phase of [`Transient::step`].
+    fn build_rhs(&mut self, t_new: f64) {
         self.rhs.fill(0.0);
 
         // Stamp the per-step right-hand side from the precomputed plan
@@ -1062,7 +1049,7 @@ impl Transient {
     ///
     /// Same contract as [`Transient::step`]: [`SolverError::NonFinite`] or
     /// [`SolverError::Divergence`].
-    pub(crate) fn commit_step(&mut self, t_new: f64) -> Result<(), SolverError> {
+    fn commit_step(&mut self, t_new: f64) -> Result<(), SolverError> {
         // Health gate: reject the candidate before committing anything. The
         // rhs buffer is scratch (refilled every step), so bailing out here
         // leaves the solver exactly at the last accepted state.
@@ -1343,34 +1330,6 @@ impl Transient {
     /// The underlying netlist (with current switch states).
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
-    }
-
-    /// Cached structural fingerprint of the netlist (see the field docs);
-    /// kept current by every refactor.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The active LU factorization.
-    pub(crate) fn lu(&self) -> &LuFactors<f64> {
-        &self.lu
-    }
-
-    /// The MNA system dimension (node variables + group-2 branches).
-    pub(crate) fn system_dim(&self) -> usize {
-        self.rhs.len()
-    }
-
-    /// The RHS/solution scratch buffer, for the batched gather/scatter.
-    pub(crate) fn rhs_mut(&mut self) -> &mut [f64] {
-        &mut self.rhs
-    }
-
-    /// Solves the stamped scratch RHS in place with the active factors —
-    /// the middle phase of [`Transient::step`], used by singleton lanes in
-    /// the batched path.
-    pub(crate) fn solve_scratch(&mut self) {
-        self.lu.solve_in_place(&mut self.rhs);
     }
 }
 

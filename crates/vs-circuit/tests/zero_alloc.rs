@@ -1,5 +1,5 @@
 //! Steady-state transient stepping must perform **zero heap allocations per
-//! cycle** — the acceptance bar for the batched co-simulation hot path. A
+//! cycle** — the acceptance bar for the co-simulation hot path. A
 //! counting global allocator wraps the system allocator; after warm-up, a
 //! window of `step()` / `step_with_recovery()` calls must leave the test
 //! thread's allocation counter untouched. The counter is per thread, so

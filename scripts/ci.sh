@@ -11,11 +11,10 @@
 #              counts, round-trips `sweep --resume` through the real binary
 #              against injected damage, diffs the fault-injection
 #              campaign byte-for-byte against goldens/fault_campaign.jsonl,
-#              diffs the dse Pareto frontier against
-#              goldens/dse_frontier.jsonl under the shared tolerances,
-#              and refreshes the batched lane-scaling row in
-#              BENCH_hotpath.json. Leaves the suite manifest at target/sweep/
-#              as the uploadable artifact.
+#              and diffs the dse Pareto frontier against
+#              goldens/dse_frontier.jsonl under the shared tolerances.
+#              Leaves the suite manifest at target/sweep/ as the uploadable
+#              artifact.
 #
 # Runs from the repository root regardless of the caller's cwd.
 set -euo pipefail
@@ -44,13 +43,6 @@ if [[ "${1:-}" == "--golden" ]]; then
         --json target/fault_campaign.jsonl > /dev/null
     diff goldens/fault_campaign.jsonl target/fault_campaign.jsonl \
         && echo "fault-campaign golden: OK"
-    echo "== batched lane-scaling record =="
-    # Re-measures per-lane SoA solve cost at N=1/2/4/8 (asserting it falls
-    # monotonically) and rewrites the lane_scaling_record row of the
-    # committed artifact in place.
-    VS_BENCH_SCALE=0.04 VS_BENCH_MAX_CYCLES=250000 \
-        cargo run --release -q -p vs-bench --bin bench_hotpath -- \
-        --record-lane-scaling BENCH_hotpath.json > /dev/null
     echo "suite manifest artifact: target/sweep/manifest.jsonl"
     echo "tier-2 golden gate: OK"
     exit 0
@@ -66,11 +58,6 @@ echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
 cargo test --release -q -p vs-core --test worst_case_key
 cargo test --release -q -p vs-bench --test sweep_shard
-
-echo "== batched SoA solving: differential + property + mask-fuzz suites =="
-cargo test --release -q -p vs-circuit --test batched_vs_scalar
-cargo test --release -q -p vs-circuit --test lane_permutation
-cargo test --release -q -p vs-circuit --test batched_mask_fuzz
 
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
