@@ -16,7 +16,7 @@ use vs_control::{ControllerConfig, VoltageController};
 use vs_core::{PdsKind, PdsRig};
 use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, SchedulerKind};
 use vs_bench::obs;
-use vs_num::{eigenvalues, expm, LuFactors, Matrix};
+use vs_num::{eigenvalues, expm, Matrix};
 use vs_pds::{AreaModel, CrIvrConfig, PdnParams, StackedPdn};
 use vs_telemetry::{Stage, Telemetry};
 
@@ -106,6 +106,15 @@ fn bench_circuit() {
         black_box(sim.voltage(pdn.die_top));
     });
 
+    // The bare substitution each step performs, on the rig's own factors.
+    let lu = sim.factors();
+    let rhs: Vec<f64> = (0..lu.dim()).map(|i| 1.0 + i as f64 * 0.01).collect();
+    let mut x = rhs.clone();
+    bench("lu_solve_4x4_rig", || {
+        x.copy_from_slice(&rhs);
+        lu.solve_in_place(black_box(&mut x));
+    });
+
     let ac = AcAnalysis::new(&pdn.netlist).unwrap();
     bench("stacked_pdn_ac_solve", || {
         black_box(
@@ -133,20 +142,6 @@ fn bench_numerics() {
     });
     bench("eigenvalues_8x8", || {
         black_box(eigenvalues(&a));
-    });
-
-    let m = 48;
-    let mut big = Matrix::zeros(m, m);
-    for i in 0..m {
-        for j in 0..m {
-            big[(i, j)] = next();
-        }
-        big[(i, i)] += 10.0;
-    }
-    let lu = LuFactors::factor(&big).unwrap();
-    let rhs = vec![1.0; m];
-    bench("lu_solve_48", || {
-        black_box(lu.solve(&rhs));
     });
 }
 

@@ -8,8 +8,9 @@
 //!   switches),
 //! * DC operating-point analysis ([`Netlist::dc_operating_point`]),
 //! * fixed-step [`Transient`] simulation with backward-Euler or trapezoidal
-//!   companion models, a constant-matrix fast path (one LU factorization,
-//!   O(n²) per step), and per-element energy accounting,
+//!   companion models, a constant-matrix fast path (one fill-reducing LU
+//!   factorization, then one sparse substitution per step), and
+//!   per-element energy accounting,
 //! * small-signal [`AcAnalysis`] producing the complex impedance profiles
 //!   used by the paper's effective-impedance reliability analysis (Fig. 3),
 //! * a [`Trace`] recorder with the summary statistics the evaluation plots

@@ -470,6 +470,10 @@ impl Netlist {
     /// Indices of elements that carry a group-2 (branch-current) unknown, in
     /// element order: voltage sources and inductors.
     pub(crate) fn group2_elements(&self) -> Vec<usize> {
+        self.group2_indices().collect()
+    }
+
+    fn group2_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.elements
             .iter()
             .enumerate()
@@ -477,12 +481,13 @@ impl Netlist {
                 matches!(e, Element::VoltageSource { .. } | Element::Inductor { .. })
             })
             .map(|(i, _)| i)
-            .collect()
     }
 
-    /// Size of the MNA unknown vector: non-ground nodes plus group-2 branches.
+    /// Size of the MNA unknown vector: non-ground nodes plus group-2
+    /// branches. Counted without collecting, so a refactor stays
+    /// allocation-free.
     pub(crate) fn system_dim(&self) -> usize {
-        (self.n_nodes() - 1) + self.group2_elements().len()
+        (self.n_nodes() - 1) + self.group2_indices().count()
     }
 
     /// Maps a node to its row/column in the MNA system; ground maps to `None`.

@@ -2,8 +2,10 @@
 //!
 //! The system matrix depends only on topology, component values, switch
 //! states, the timestep, and the integration method — not on source values —
-//! so it is LU-factored once and each step costs a single O(n²)
-//! forward/backward substitution. Switch toggles trigger a refactor.
+//! so it is LU-factored once and each step costs a single forward/backward
+//! substitution over the stored entries of the factors (see
+//! [`vs_num::LuFactors`]). Switch toggles trigger a refactor, which reuses
+//! the fill-reducing ordering while the matrix keeps its nonzero pattern.
 //!
 //! Two integration methods are provided:
 //!
@@ -90,7 +92,7 @@ enum EnergyOp {
 /// back-to-back without re-allocating.
 ///
 /// A workspace owns every growable buffer the solver needs — the stamp
-/// matrix, the LU factors and their sparsity pattern, solution/RHS/state
+/// matrix, the LU factors and their fill-reducing ordering, solution/RHS/state
 /// vectors, and the precomputed stamp/energy plans — plus a cached DC
 /// operating point keyed by a fingerprint of the netlist. Constructing a
 /// `Transient` *in* a workspace ([`Transient::new_in`],
@@ -918,6 +920,12 @@ impl Transient {
     /// The active integration method.
     pub fn method(&self) -> Integration {
         self.method
+    }
+
+    /// The LU factors of the current system matrix, as every step solves
+    /// with them (for inspecting fill or timing a bare solve).
+    pub fn factors(&self) -> &LuFactors<f64> {
+        &self.lu
     }
 
     /// Sets the node-voltage magnitude beyond which a candidate solution is

@@ -1,8 +1,9 @@
 //! Steady-state transient stepping must perform **zero heap allocations per
 //! cycle** — the acceptance bar for the co-simulation hot path. A
 //! counting global allocator wraps the system allocator; after warm-up, a
-//! window of `step()` / `step_with_recovery()` calls must leave the test
-//! thread's allocation counter untouched. The counter is per thread, so
+//! window of `step()` / `step_with_recovery()` calls, or of refactoring
+//! recycler retunes between steps, must leave the test thread's allocation
+//! counter untouched. The counter is per thread, so
 //! tests running in parallel never see each other's allocations.
 //!
 //! The netlist below is a miniature of the stacked power-delivery system the
@@ -13,7 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
+use vs_circuit::{
+    Element, Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform,
+};
 
 struct CountingAlloc;
 
@@ -55,7 +58,13 @@ fn allocs() -> u64 {
 }
 
 /// A two-layer stacked PDN in miniature, with externally controlled loads.
-fn stacked_netlist() -> (Netlist, Vec<vs_circuit::ControlId>, vs_circuit::NodeId) {
+/// Returns the netlist, the load controls, the top node and the recycler.
+fn stacked_netlist() -> (
+    Netlist,
+    Vec<vs_circuit::ControlId>,
+    vs_circuit::NodeId,
+    vs_circuit::ElementId,
+) {
     let mut net = Netlist::new();
     let top = net.node("top");
     let mid = net.node("mid");
@@ -65,7 +74,7 @@ fn stacked_netlist() -> (Netlist, Vec<vs_circuit::ControlId>, vs_circuit::NodeId
     net.resistor(sup, top, 0.05);
     net.capacitor(top, mid, 1e-6);
     net.capacitor(mid, Netlist::GROUND, 1e-6);
-    net.charge_recycler(top, mid, Netlist::GROUND, 5.0);
+    let recycler = net.charge_recycler(top, mid, Netlist::GROUND, 5.0);
     net.switch(top, mid, 1e6, 1e9, false);
     net.current_source(
         top,
@@ -77,12 +86,12 @@ fn stacked_netlist() -> (Netlist, Vec<vs_circuit::ControlId>, vs_circuit::NodeId
     let (_, c1) = net.controlled_current_source(mid, Netlist::GROUND);
     controls.push(c0);
     controls.push(c1);
-    (net, controls, top)
+    (net, controls, top, recycler)
 }
 
 #[test]
 fn steady_state_stepping_is_allocation_free() {
-    let (net, controls, _) = stacked_netlist();
+    let (net, controls, _, _) = stacked_netlist();
     let mut sim = Transient::new(&net, 1e-9, Integration::Trapezoidal).unwrap();
     // Warm-up: first steps may lazily touch capacity.
     for i in 0..64 {
@@ -109,7 +118,7 @@ fn steady_state_stepping_is_allocation_free() {
 
 #[test]
 fn recovery_wrapper_success_path_is_allocation_free() {
-    let (net, controls, _) = stacked_netlist();
+    let (net, controls, _, _) = stacked_netlist();
     let mut sim = Transient::new(&net, 1e-9, Integration::Trapezoidal).unwrap();
     let policy = RecoveryPolicy::default();
     for _ in 0..64 {
@@ -125,8 +134,42 @@ fn recovery_wrapper_success_path_is_allocation_free() {
 }
 
 #[test]
+fn warmed_up_recycler_retunes_are_allocation_free() {
+    let (mut net, controls, top, inner) = stacked_netlist();
+    let Element::ChargeRecycler { mid, .. } = net.elements()[inner.index()] else {
+        unreachable!("stacked_netlist returns its recycler");
+    };
+    // A third layer whose recycler is the only element coupling `cap` with
+    // `mid`, so switching it to 0 S drops that pair from the matrix pattern.
+    let cap = net.node("cap");
+    net.resistor(cap, top, 1.0);
+    net.capacitor(cap, top, 1e-6);
+    let recycler = net.charge_recycler(cap, top, mid, 5.0);
+    let mut sim = Transient::new(&net, 1e-9, Integration::Trapezoidal).unwrap();
+    // Each retune refactors. 5 S and 2.5 S share a pattern, so the
+    // fill-reducing ordering is reused; 0 S has its own, so the ordering is
+    // recomputed there and again on the way back.
+    let tunes = [5.0, 2.5, 0.0, 2.5];
+    let retune_and_step = |sim: &mut Transient, cycles: usize| {
+        for i in 0..cycles {
+            sim.set_recycler_conductance(recycler, tunes[i % tunes.len()])
+                .unwrap();
+            sim.set_control(controls[0], 0.3 + 0.05 * (i % 7) as f64);
+            sim.set_control(controls[1], 0.4);
+            sim.step().unwrap();
+        }
+    };
+    // Warm-up: visit every pattern once.
+    retune_and_step(&mut sim, 2 * tunes.len());
+    let before = allocs();
+    retune_and_step(&mut sim, 400);
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "400 retunes with steps allocated {delta} times");
+}
+
+#[test]
 fn workspace_round_trip_reuses_buffers_and_dc_cache() {
-    let (net, controls, top) = stacked_netlist();
+    let (net, controls, top, _) = stacked_netlist();
     // First run warms the workspace (and populates the DC cache).
     let mut sim = Transient::new_in(&net, 1e-9, Integration::Trapezoidal, SolverWorkspace::new())
         .unwrap();

@@ -41,8 +41,11 @@ if [[ "${1:-}" == "--golden" ]]; then
     VS_BENCH_SCALE=0.04 VS_BENCH_MAX_CYCLES=250000 \
         cargo run --release -q -p vs-bench --bin fault_campaign -- \
         --json target/fault_campaign.jsonl > /dev/null
-    diff goldens/fault_campaign.jsonl target/fault_campaign.jsonl \
-        && echo "fault-campaign golden: OK"
+    if ! diff goldens/fault_campaign.jsonl target/fault_campaign.jsonl; then
+        echo "fault-campaign golden: output differs from goldens/fault_campaign.jsonl" >&2
+        exit 1
+    fi
+    echo "fault-campaign golden: OK"
     echo "suite manifest artifact: target/sweep/manifest.jsonl"
     echo "tier-2 golden gate: OK"
     exit 0
@@ -88,8 +91,11 @@ echo "== diff-baseline self-check =="
 # The regression gate must accept a store against itself and reject a
 # tolerance-violating perturbation with a nonzero exit.
 SWEEP=target/release/sweep
-"$SWEEP" diff-baseline goldens goldens > /dev/null \
-    && echo "diff-baseline goldens vs goldens: OK (exit 0)"
+if ! "$SWEEP" diff-baseline goldens goldens > /dev/null; then
+    echo "diff-baseline rejected goldens compared with themselves" >&2
+    exit 1
+fi
+echo "diff-baseline goldens vs goldens: OK (exit 0)"
 PERTURBED=$(mktemp -d)
 trap 'rm -rf "$PERTURBED"' EXIT
 cp goldens/*.jsonl "$PERTURBED"/
